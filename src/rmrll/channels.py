@@ -102,6 +102,18 @@ class BlockErrorEstimate:
         return 1.96 * math.sqrt(p * (1.0 - p) / self.trials)
 
 
+def _uniform_index(count: int, rng: np.random.Generator) -> int:
+    """Uniform draw from range(count).  Counts beyond int64 (above 2**63)
+    draw (count - 1).bit_length() random bits until the value fits."""
+    if count <= 1 << 63:
+        return int(rng.integers(count))
+    bits = (count - 1).bit_length()
+    while True:
+        value = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+        if value < count:
+            return value
+
+
 def estimate_block_error(
     encode: Callable[[int], BitWord],
     decode: Callable[[np.ndarray], int | None],
@@ -125,7 +137,7 @@ def estimate_block_error(
     wrong = 0
     for t in range(trials):
         rng = trial_stream(seed, t)
-        msg = int(rng.integers(message_count))
+        msg = _uniform_index(message_count, rng)
         obs = channel.transmit(encode(msg), rng)
         got = decode(obs)
         if got != msg:

@@ -21,6 +21,7 @@ from .channels import BEC, BSC, estimate_block_error
 from .coset import (
     bsc_threshold,
     build_plan,
+    check_bsc_limits,
     coset_rate_lower_bound,
     crossover_capacity,
     decode,
@@ -29,6 +30,7 @@ from .coset import (
 from .gf2 import BinaryMatrix
 from .ordering import (
     gray_ordering,
+    lex_run_count,
     lexicographic_ordering,
     permutation_bound_experiment,
     run_profile,
@@ -252,7 +254,7 @@ def lemma_checks(m_max: int, fault: bool = False) -> tuple[list[str], bool]:
         gray = gray_ordering(m)
         for r in range(m):
             info = frozenset(i for i in range(1 << m) if i.bit_count() <= r)
-            if run_profile(info, lex, spec).bounded_runs != comb(m - 1, r):
+            if run_profile(info, lex, spec).bounded_runs != lex_run_count(m, r):
                 ok_lex = False
             if run_profile(info, gray, spec).bounded_runs > comb(m, r + 1):
                 ok_gray = False
@@ -304,13 +306,10 @@ def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
         raise UsageError(f"infeasible plan: {exc}") from exc
     try:
         channel = BEC(p["param"]) if p["channel"] == "bec" else BSC(p["param"])
+        if p["channel"] == "bsc":
+            check_bsc_limits(plan)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if p["channel"] == "bsc" and (plan.payload_bits > 20 or plan.inner.k > 16):
-        raise UsageError(
-            "bsc decoding is exhaustive and needs payload_bits <= 20 and "
-            f"inner dimension <= 16 (plan has {plan.payload_bits} and {plan.inner.k})"
-        )
     if p["trials"] < 1:
         raise UsageError("trials must be positive")
 

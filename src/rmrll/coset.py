@@ -44,7 +44,13 @@ __all__ = [
     "coset_rate_lower_bound",
     "crossover_capacity",
     "bsc_threshold",
+    "check_bsc_limits",
 ]
+
+# The flip-channel decoder scans every payload index and every inner
+# message, so it stays exhaustive only up to these sizes.
+BSC_MAX_PAYLOAD_BITS = 20
+BSC_MAX_INNER_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -113,13 +119,7 @@ def build_plan(
 
     perm = tuple(sorted(range(length), key=lambda i: (i.bit_count(), i)))
     permutation = Ordering(m, perm, "explicit")
-    permuted_rows = []
-    for v in outer.gen.row_values:
-        pv = 0
-        for j, c in enumerate(perm):
-            pv |= ((v >> c) & 1) << j
-        permuted_rows.append(pv)
-    sys_gen, pivots = BinaryMatrix(permuted_rows, length).rref()
+    sys_gen, pivots = outer.gen.column_submatrix(perm).rref()
     if pivots != tuple(range(k)):
         raise AssertionError("permuted information set failed to pivot first")
 
@@ -210,11 +210,9 @@ class DecodeResult:
         return self.status == "message"
 
 
-def _packed(obs: np.ndarray) -> int:
-    """Packed integer of a 0/1 observation slice."""
-    if obs.size == 0:
-        return 0
-    raw = np.packbits(obs == 1, bitorder="little")
+def _packed(bits: np.ndarray) -> int:
+    """Packed integer of a boolean array, element 0 in bit 0."""
+    raw = np.packbits(bits, bitorder="little")
     return int.from_bytes(raw.tobytes(), "little")
 
 
@@ -224,31 +222,19 @@ def _decode_bec(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
     tail_val = 0
     for i in range(plan.part_count):
         obs = parts_obs[i * npart : (i + 1) * npart]
-        erased = obs == ERASED
-        if erased.any():
-            cols = np.flatnonzero(~erased)
-            sub = plan.inner.gen.column_submatrix(int(c) for c in cols)
-            sol = sub.solve_right(BitWord(_packed(obs[cols]), len(cols)))
-        else:
-            sol = plan.inner.gen.solve_right(BitWord(_packed(obs), npart))
+        system = plan.inner.gen.mask_columns(_packed(obs != ERASED))
+        sol = system.solve_right(BitWord(_packed(obs == 1), npart))
         if sol.status == "underdetermined":
             return DecodeResult("ambiguous")
         if sol.status == "inconsistent":
             return DecodeResult("failure", stage=f"part:{i}")
         tail_val |= sol.vector.value << (i * dim)
     k, length = plan.k, plan.outer_length
-    tail_val &= (1 << (length - k)) - 1  # padding carries no information
+    tail_bits = (1 << (length - k)) - 1
+    tail_val &= tail_bits  # padding carries no information
 
-    erased = prefix_obs == ERASED
-    if erased.any():
-        keep = np.flatnonzero(~erased)
-        cols = [int(c) for c in keep] + list(range(k, length))
-        system = plan.outer_gen.column_submatrix(cols)
-        y = BitWord(_packed(prefix_obs[keep]) | (tail_val << len(keep)), len(cols))
-    else:
-        system = plan.outer_gen
-        y = BitWord(_packed(prefix_obs) | (tail_val << k), length)
-    sol = system.solve_right(y)
+    system = plan.outer_gen.mask_columns(_packed(prefix_obs != ERASED) | tail_bits << k)
+    sol = system.solve_right(BitWord(_packed(prefix_obs == 1) | tail_val << k, length))
     if sol.status == "underdetermined":
         return DecodeResult("ambiguous")
     if sol.status == "inconsistent":
@@ -262,25 +248,32 @@ def _decode_bec(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
     return DecodeResult("message", message=index)
 
 
+def check_bsc_limits(plan: CosetPlan) -> None:
+    """Raise ValueError when the plan is too large for flip-channel decoding."""
+    if plan.payload_bits > BSC_MAX_PAYLOAD_BITS or plan.inner.k > BSC_MAX_INNER_DIM:
+        raise ValueError(
+            f"bsc decoding is exhaustive and needs payload_bits <= {BSC_MAX_PAYLOAD_BITS}"
+            f" and inner dimension <= {BSC_MAX_INNER_DIM}"
+            f" (plan has {plan.payload_bits} and {plan.inner.k})"
+        )
+
+
 def _decode_bsc(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
+    check_bsc_limits(plan)
     dim = plan.inner.k
-    if dim > 16:
-        raise ValueError("exhaustive inner decoding supports dimension at most 16")
-    if plan.payload_bits > 20:
-        raise ValueError("exhaustive prefix decoding supports at most 20 payload bits")
     npart = plan.part_length
     codebook = [
         plan.inner.encode(BitWord(u, dim)).value for u in range(1 << dim)
     ]
     tail_val = 0
     for i in range(plan.part_count):
-        yv = _packed(parts_obs[i * npart : (i + 1) * npart])
+        yv = _packed(parts_obs[i * npart : (i + 1) * npart] == 1)
         best_u = min(range(1 << dim), key=lambda u: (codebook[u] ^ yv).bit_count())
         tail_val |= best_u << (i * dim)
     k, length = plan.k, plan.outer_length
     tail_val &= (1 << (length - k)) - 1
 
-    yv1 = _packed(prefix_obs)
+    yv1 = _packed(prefix_obs == 1)
     best = None
     best_dist = None
     for index in range(1 << plan.payload_bits):

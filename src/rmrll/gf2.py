@@ -11,7 +11,6 @@ after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -157,14 +156,12 @@ class Solution:
         return self.status == "unique"
 
 
-@lru_cache(maxsize=1024)
 def _row_basis(rows: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """Triangular basis of the row space keyed by leading bit.
 
     Each entry maps a leading bit position to ``(vector, coefficients)``
     where ``vector = coefficients * M`` with coefficient bit i selecting
-    row i.  Shared by rank and solve so repeated solves against the same
-    matrix (the decoder hot path) reduce to a single back-substitution.
+    row i.  Shared by rank and solve.
     """
     basis: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(rows):
@@ -254,19 +251,22 @@ class BinaryMatrix:
     def rank(self) -> int:
         return len(_row_basis(self._rows))
 
-    def rank_of_columns(self, cols: Iterable[int]) -> int:
-        """Rank of the submatrix on ``cols`` without extracting it.
+    def mask_columns(self, mask: int) -> "BinaryMatrix":
+        """Same shape, with the columns whose bit in ``mask`` is 0 zeroed.
 
-        Zeroing the unselected columns leaves the row space isomorphic to
-        the submatrix row space, so the rank is unchanged; this skips the
-        per-bit gather that column_submatrix performs.
+        Rank, and solutions of u * M = y for y zero off the mask, are those
+        of the submatrix on the kept columns, without a per-bit gather.
         """
+        return BinaryMatrix([r & mask for r in self._rows], self._ncols)
+
+    def rank_of_columns(self, cols: Iterable[int]) -> int:
+        """Rank of the submatrix on ``cols`` without extracting it."""
         mask = 0
-        for c in set(cols):
+        for c in cols:
             if not 0 <= c < self._ncols:
                 raise ValueError("column index out of range")
             mask |= 1 << c
-        return len(_row_basis(tuple(r & mask for r in self._rows)))
+        return self.mask_columns(mask).rank()
 
     def rref(self) -> tuple["BinaryMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns.
@@ -293,26 +293,19 @@ class BinaryMatrix:
         return BinaryMatrix(rows, self._ncols), tuple(pivots)
 
     def column_submatrix(self, cols: Iterable[int]) -> "BinaryMatrix":
-        """Submatrix on the given column set, output columns ascending."""
-        sel = sorted(set(int(c) for c in cols))
-        if sel and not (0 <= sel[0] and sel[-1] < self._ncols):
+        """Gather columns: output column j is column ``cols[j]``.
+
+        The given order is kept, so a permutation of all columns permutes
+        the matrix.
+        """
+        sel = [int(c) for c in cols]
+        if not all(0 <= c < self._ncols for c in sel):
             raise ValueError("column index out of range")
         out = []
         for r in self._rows:
-            v = 0
-            for k, c in enumerate(sel):
-                v |= ((r >> c) & 1) << k
-            out.append(v)
+            bits = format(r, f"0{self._ncols}b")[::-1]  # bits[c] is column c
+            out.append(int("".join([bits[c] for c in sel])[::-1] or "0", 2))
         return BinaryMatrix(out, len(sel))
-
-    def transpose(self) -> "BinaryMatrix":
-        out = []
-        for j in range(self._ncols):
-            v = 0
-            for i, r in enumerate(self._rows):
-                v |= ((r >> j) & 1) << i
-            out.append(v)
-        return BinaryMatrix(out, self.nrows)
 
     def stack(self, other: "BinaryMatrix") -> "BinaryMatrix":
         if self._ncols != other._ncols:

@@ -72,9 +72,6 @@ def eval_monomial(m: int, variables: Iterable[int]) -> BitWord:
     var_set = set(variables)
     if not all(1 <= j <= m for j in var_set):
         raise ValueError("variables must lie in 1..m")
-    mask = 0
-    for j in var_set:
-        mask |= 1 << (m - j)
     acc = (1 << n) - 1
     patterns = _variable_patterns(m)
     for j in var_set:

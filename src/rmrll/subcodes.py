@@ -91,10 +91,13 @@ def largest_linear_rll_subcode(
     generator at a time.  Visited spans are cached so each subspace is
     expanded once, not once per basis ordering.  The run-structure
     dimension bound caps the search depth.  Limited to code dimension
-    20 (the codeword sweep is 2**k).
+    20 (the codeword sweep is 2**k).  With d=0 every word is
+    constrained, so the answer is the whole code and no search runs.
     """
     if code.k > 20:
         raise ValueError("exhaustive search supports dimension at most 20")
+    if spec.d == 0:
+        return code.k, code.gen
     d = spec.d
     rows = code.gen.row_values
     good = {0}

@@ -12,7 +12,9 @@ from rmrll.channels import (
     estimate_block_error,
     trial_stream,
 )
+from rmrll.coset import build_plan, decode, encode
 from rmrll.gf2 import BitWord
+from rmrll.rll import RllSpec
 
 
 class TestEntropy:
@@ -124,6 +126,36 @@ class TestBlockError:
         est = estimate_block_error(encode, decode, 2, BEC(0.25), 8000, 11)
         assert est.wrong_messages == 0
         assert abs(est.p_hat - 0.25) < 0.02
+
+    def test_message_space_beyond_int64(self):
+        count = 3 << 70
+        drawn = []
+
+        def record(i):
+            drawn.append(i)
+            return BitWord(0, 1)
+
+        estimate_block_error(record, lambda obs: None, count, BEC(0.0), 200, 5)
+        assert all(0 <= i < count for i in drawn)
+        assert max(drawn) > count // 2
+
+    def test_wide_coset_plan_has_no_wrong_messages(self):
+        plan = build_plan(8, 4, RllSpec(1), 3)
+        assert plan.payload_bits > 64
+
+        def dec(obs):
+            result = decode(obs[: plan.k], obs[plan.k :], plan, BEC(0.05))
+            return result.message if result.is_message else None
+
+        est = estimate_block_error(
+            lambda i: encode(i, plan).transmitted,
+            dec,
+            1 << plan.payload_bits,
+            BEC(0.05),
+            4,
+            7,
+        )
+        assert est.wrong_messages == 0
 
     def test_deterministic_in_seed(self):
         def decode(obs):

@@ -192,6 +192,20 @@ class TestCosetTrial:
         assert code == 2
         capsys.readouterr()
 
+    def test_payload_beyond_int64_runs(self, tmp_path):
+        # 113 payload bits: message indices exceed the int64 draw range
+        code, text = run(
+            tmp_path,
+            "coset-trial",
+            "--m", "8", "--r", "4", "--d", "1",
+            "--part-exponent", "3",
+            "--channel", "bec", "--param", "0.05",
+            "--trials", "2", "--seed", "7",
+        )
+        assert code == 0
+        record = dict(zip(*(line.split(",") for line in body_lines(text))))
+        assert record["payload_bits"] == "113"
+
     def test_seed_required(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,

@@ -5,6 +5,7 @@ import pytest
 
 from rmrll.channels import BEC, BSC, ERASED
 from rmrll.coset import (
+    DecodeResult,
     bsc_threshold,
     build_plan,
     coset_leader,
@@ -14,7 +15,13 @@ from rmrll.coset import (
     encode,
 )
 from rmrll.gf2 import BinaryMatrix, BitWord
-from rmrll.rll import RllSpec, enumerative_encode, is_constrained, noiseless_capacity
+from rmrll.rll import (
+    RllSpec,
+    enumerative_decode,
+    enumerative_encode,
+    is_constrained,
+    noiseless_capacity,
+)
 from rmrll.rm import select_order
 
 
@@ -25,6 +32,44 @@ def observe(word, flips=(), erasures=()):
     for i in erasures:
         obs[i] = ERASED
     return obs
+
+
+def gather_decode_bec(prefix_obs, parts_obs, plan):
+    """Reference erasure decoder: each stage solves on the submatrix of
+    the unerased columns, gathered with column_submatrix."""
+
+    def packed(bits):
+        return sum(1 << j for j, b in enumerate(bits) if b == 1)
+
+    dim, npart = plan.inner.k, plan.part_length
+    tail_val = 0
+    for i in range(plan.part_count):
+        obs = parts_obs[i * npart : (i + 1) * npart]
+        cols = [c for c in range(npart) if obs[c] != ERASED]
+        sub = plan.inner.gen.column_submatrix(cols)
+        sol = sub.solve_right(BitWord(packed(obs[cols]), len(cols)))
+        if sol.status == "underdetermined":
+            return DecodeResult("ambiguous")
+        if sol.status == "inconsistent":
+            return DecodeResult("failure", stage=f"part:{i}")
+        tail_val |= sol.vector.value << (i * dim)
+    k, length = plan.k, plan.outer_length
+    tail_val &= (1 << (length - k)) - 1
+    keep = [c for c in range(k) if prefix_obs[c] != ERASED]
+    cols = keep + list(range(k, length))
+    y = BitWord(packed(prefix_obs[keep]) | (tail_val << len(keep)), len(cols))
+    sol = plan.outer_gen.column_submatrix(cols).solve_right(y)
+    if sol.status == "underdetermined":
+        return DecodeResult("ambiguous")
+    if sol.status == "inconsistent":
+        return DecodeResult("failure", stage="outer")
+    w = sol.vector
+    if not is_constrained(w, plan.spec):
+        return DecodeResult("failure", stage="outer")
+    index = enumerative_decode(w, plan.spec)
+    if index >= 1 << plan.payload_bits:
+        return DecodeResult("failure", stage="outer")
+    return DecodeResult("message", message=index)
 
 
 def small_plan():
@@ -209,6 +254,27 @@ class TestDecodeBec:
         res = decode(obs[: plan.k], obs[plan.k :], plan, BEC(0.0))
         assert res.status == "failure"
         assert res.stage == "outer"
+
+    def test_matches_gather_reference(self):
+        plans = [
+            small_plan(),
+            build_plan(5, 2, RllSpec(1), 2, 2),
+            build_plan(4, 2, RllSpec(2), 2, 2),
+            build_plan(5, 3, RllSpec(2), 2, 3),
+        ]
+        rng = np.random.default_rng(2024)
+        statuses = set()
+        for plan in plans:
+            for trial in range(60):
+                tx = encode(int(rng.integers(1 << plan.payload_bits)), plan)
+                n = plan.total_length
+                erasures = np.flatnonzero(rng.random(n) < rng.choice([0.05, 0.3, 0.6]))
+                flips = np.flatnonzero(rng.random(n) < 0.02) if trial % 3 == 0 else ()
+                obs = observe(tx.transmitted, flips=flips, erasures=erasures)
+                got = decode(obs[: plan.k], obs[plan.k :], plan, BEC(0.3))
+                assert got == gather_decode_bec(obs[: plan.k], obs[plan.k :], plan)
+                statuses.add(got.status)
+        assert statuses == {"message", "ambiguous", "failure"}
 
     def test_shape_validation(self):
         plan = small_plan()

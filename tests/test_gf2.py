@@ -102,9 +102,31 @@ class TestBinaryMatrix:
         mat = BinaryMatrix.from_strings(["1010", "0110"])
         sub = mat.column_submatrix([2, 0])
         assert sub.ncols == 2
-        # output columns ascend: column 0 then column 2
+        # the given order is kept: column 2 then column 0
         assert sub.row(0).to01() == "11"
-        assert sub.row(1).to01() == "01"
+        assert sub.row(1).to01() == "10"
+        with pytest.raises(ValueError):
+            mat.column_submatrix([4])
+
+    def test_mask_columns_matches_submatrix(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            mat, arr = random_matrix(rng, int(rng.integers(1, 9)), 12)
+            size = int(rng.integers(0, 13))
+            keep = sorted(int(c) for c in rng.choice(12, size=size, replace=False))
+            mask = sum(1 << c for c in keep)
+            masked = mat.mask_columns(mask)
+            want = arr.copy()
+            want[:, [c for c in range(12) if c not in keep]] = 0
+            assert np.array_equal(masked.to_array(), want)
+            sub = mat.column_submatrix(keep)
+            assert masked.rank() == sub.rank()
+            u = BitWord.from_array(rng.integers(0, 2, size=mat.nrows, dtype=np.uint8))
+            noise = BitWord.from_array(rng.integers(0, 2, size=12, dtype=np.uint8))
+            for y in (mat.vecmat(u), noise):  # consistent, then arbitrary
+                got = masked.solve_right(BitWord(y.value & mask, 12))
+                ref = sub.solve_right(BitWord.from_array(y.to_array()[keep]))
+                assert got == ref
 
     def test_vecmat_matches_numpy(self):
         rng = np.random.default_rng(14)
@@ -114,12 +136,6 @@ class TestBinaryMatrix:
             u = rng.integers(0, 2, size=nrows, dtype=np.uint8)
             want = arr.T @ u % 2
             assert np.array_equal(mat.vecmat(BitWord.from_array(u)).to_array(), want)
-
-    def test_transpose(self):
-        rng = np.random.default_rng(15)
-        mat, arr = random_matrix(rng, 5, 9)
-        assert np.array_equal(mat.transpose().to_array(), arr.T)
-        assert mat.transpose().transpose() == mat
 
     def test_identity_stack_zeros(self):
         eye = BinaryMatrix.identity(3)

@@ -158,8 +158,9 @@ class TestOracle:
 
     def test_d0_oracle_is_whole_code(self):
         code = RmCode(3, 2)
-        dim, _ = largest_linear_rll_subcode(code, RllSpec(0))
+        dim, basis = largest_linear_rll_subcode(code, RllSpec(0))
         assert dim == code.k
+        assert basis == code.gen
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
