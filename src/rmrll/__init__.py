@@ -23,7 +23,6 @@ from .coset import (
     DecodeResult,
     bsc_threshold,
     build_plan,
-    coset_leader,
     coset_rate_lower_bound,
     crossover_capacity,
     decode,
@@ -36,7 +35,6 @@ from .ordering import (
     PermutationSample,
     RunProfile,
     asymptotic_linear_bound,
-    explicit_ordering,
     gray_ordering,
     lex_run_count,
     lexicographic_ordering,
@@ -46,7 +44,6 @@ from .ordering import (
     subcode_dimension_bound,
 )
 from .rll import (
-    RllCountTable,
     RllSpec,
     count_constrained,
     enumerative_decode,
@@ -61,7 +58,6 @@ from .subcodes import (
     build_subcode,
     largest_linear_rll_subcode,
     subcode_rate,
-    zero_one_complement,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +75,6 @@ __all__ = [
     "Ordering",
     "PermutationExperiment",
     "PermutationSample",
-    "RllCountTable",
     "RllSpec",
     "RllSubcode",
     "RmCode",
@@ -91,7 +86,6 @@ __all__ = [
     "build_plan",
     "build_subcode",
     "complement_basis",
-    "coset_leader",
     "coset_rate_lower_bound",
     "count_constrained",
     "crossover_capacity",
@@ -102,7 +96,6 @@ __all__ = [
     "estimate_bit_error",
     "estimate_block_error",
     "eval_monomial",
-    "explicit_ordering",
     "gray_ordering",
     "is_constrained",
     "largest_linear_rll_subcode",
@@ -118,5 +111,4 @@ __all__ = [
     "subcode_dimension_bound",
     "subcode_rate",
     "trial_stream",
-    "zero_one_complement",
 ]

@@ -7,7 +7,8 @@ decimals and stochastic commands derive all randomness from --seed, so
 reruns are byte-identical.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on
-invalid configuration.
+invalid configuration or an unwritable --out path.  Any other exception
+is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 from .channels import BEC, BSC, estimate_block_error
 from .coset import (
@@ -59,68 +61,15 @@ class Opt:
     help: str = ""
 
 
-COMMANDS: dict[str, tuple[str, tuple[Opt, ...]]] = {
-    "rate-curves": (
-        "tabulate achievable-rate bounds against channel capacity",
-        (
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("part_exponent", int, default=50, help="tail part-size exponent"),
-            Opt("grid", float, default=0.01, help="capacity step in (0, 0.1]"),
-        ),
-    ),
-    "verify-lemmas": (
-        "verify structural identities exhaustively over small sizes",
-        (
-            Opt(
-                "m_max",
-                int,
-                required=True,
-                help="largest code exponent for the rank checks (at most 12); "
-                "span checks cap at m=8 and run-count checks always cover m<=12",
-            ),
-        ),
-    ),
-    "subcode-oracle": (
-        "compare the subcode construction against the exhaustive oracle",
-        (
-            Opt("m", int, required=True, help="code exponent"),
-            Opt("r", int, required=True, help="code order"),
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-        ),
-    ),
-    "coset-trial": (
-        "Monte-Carlo block-error trial of the coset transmission scheme",
-        (
-            Opt("m", int, required=True, help="outer code exponent"),
-            Opt("r", int, required=True, help="outer code order"),
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("part_exponent", int, required=True, help="tail part-size exponent"),
-            Opt("inner_order", int, help="inner code order (default: selection rule)"),
-            Opt("channel", str, required=True, choices=("bec", "bsc"), help="channel kind"),
-            Opt("param", float, required=True, help="erasure or flip probability"),
-            Opt("trials", int, required=True, help="number of Monte-Carlo trials"),
-            Opt("seed", int, required=True, help="master seed"),
-        ),
-    ),
-    "crossover": (
-        "capacity at which the coset bound overtakes the subcode bound",
-        (
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("part_exponent", int, default=50, help="tail part-size exponent"),
-            Opt("tol", float, default=1e-6, help="bisection tolerance"),
-        ),
-    ),
-    "perm-sweep": (
-        "dimension-bound statistics over random coordinate orderings",
-        (
-            Opt("m", int, required=True, help="code exponent (at most 14)"),
-            Opt("r", int, required=True, help="code order"),
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("samples", int, required=True, help="number of sampled orderings"),
-            Opt("seed", int, required=True, help="master seed"),
-        ),
-    ),
-}
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner, help text and options.  A runner maps
+    the resolved options to (output lines, exit status)."""
+
+    run: Callable[..., tuple[list[str], int]]
+    help: str
+    opts: tuple[Opt, ...]
+    fault_hook: bool = False  # accepts the hidden --inject-fault control
 
 
 def _fmt(x: float) -> str:
@@ -180,9 +129,12 @@ def _emit(out_path: str, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
 
 
 def cmd_rate_curves(p: dict) -> tuple[list[str], int]:
@@ -312,6 +264,8 @@ def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
         raise UsageError(str(exc)) from exc
     if p["trials"] < 1:
         raise UsageError("trials must be positive")
+    if p["seed"] < 0:
+        raise UsageError("seed must be nonnegative")
 
     k = plan.k
 
@@ -363,6 +317,8 @@ def cmd_perm_sweep(p: dict) -> tuple[list[str], int]:
         raise UsageError("need 0 <= r <= m and d >= 0")
     if p["samples"] < 1:
         raise UsageError("samples must be positive")
+    if p["seed"] < 0:
+        raise UsageError("seed must be nonnegative")
     spec = RllSpec(d)
     exp = permutation_bound_experiment(RmCode(m, r), spec, p["samples"], p["seed"])
     lines = ["m,r,d,kind,seed,k,runs,bounded_runs,tuples,bound"]
@@ -379,19 +335,90 @@ def cmd_perm_sweep(p: dict) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
+COMMANDS: dict[str, Command] = {
+    "rate-curves": Command(
+        cmd_rate_curves,
+        "tabulate achievable-rate bounds against channel capacity",
+        (
+            Opt("d", int, required=True, help="minimum zeros between 1s"),
+            Opt("part_exponent", int, default=50, help="tail part-size exponent"),
+            Opt("grid", float, default=0.01, help="capacity step in (0, 0.1]"),
+        ),
+    ),
+    "verify-lemmas": Command(
+        cmd_verify_lemmas,
+        "verify structural identities exhaustively over small sizes",
+        (
+            Opt(
+                "m_max",
+                int,
+                required=True,
+                help="largest code exponent for the rank checks (at most 12); "
+                "span checks cap at m=8 and run-count checks always cover m<=12",
+            ),
+        ),
+        fault_hook=True,
+    ),
+    "subcode-oracle": Command(
+        cmd_subcode_oracle,
+        "compare the subcode construction against the exhaustive oracle",
+        (
+            Opt("m", int, required=True, help="code exponent"),
+            Opt("r", int, required=True, help="code order"),
+            Opt("d", int, required=True, help="minimum zeros between 1s"),
+        ),
+    ),
+    "coset-trial": Command(
+        cmd_coset_trial,
+        "Monte-Carlo block-error trial of the coset transmission scheme",
+        (
+            Opt("m", int, required=True, help="outer code exponent"),
+            Opt("r", int, required=True, help="outer code order"),
+            Opt("d", int, required=True, help="minimum zeros between 1s"),
+            Opt("part_exponent", int, required=True, help="tail part-size exponent"),
+            Opt("inner_order", int, help="inner code order (default: selection rule)"),
+            Opt("channel", str, required=True, choices=("bec", "bsc"), help="channel kind"),
+            Opt("param", float, required=True, help="erasure or flip probability"),
+            Opt("trials", int, required=True, help="number of Monte-Carlo trials"),
+            Opt("seed", int, required=True, help="master seed"),
+        ),
+    ),
+    "crossover": Command(
+        cmd_crossover,
+        "capacity at which the coset bound overtakes the subcode bound",
+        (
+            Opt("d", int, required=True, help="minimum zeros between 1s"),
+            Opt("part_exponent", int, default=50, help="tail part-size exponent"),
+            Opt("tol", float, default=1e-6, help="bisection tolerance"),
+        ),
+    ),
+    "perm-sweep": Command(
+        cmd_perm_sweep,
+        "dimension-bound statistics over random coordinate orderings",
+        (
+            Opt("m", int, required=True, help="code exponent (at most 14)"),
+            Opt("r", int, required=True, help="code order"),
+            Opt("d", int, required=True, help="minimum zeros between 1s"),
+            Opt("samples", int, required=True, help="number of sampled orderings"),
+            Opt("seed", int, required=True, help="master seed"),
+        ),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmrll",
         description="experiments on gap-constrained Reed-Muller transmission",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, opts) in COMMANDS.items():
-        cp = sub.add_parser(name, help=help_text)
+    for name, cmd in COMMANDS.items():
+        cp = sub.add_parser(name, help=cmd.help)
         cp.add_argument("--out", default="-", help="output path (default: stdout)")
         cp.add_argument(
             "--config", default=None, help="file of key=value defaults; flags win"
         )
-        for o in opts:
+        for o in cmd.opts:
             cp.add_argument(
                 "--" + o.name.replace("_", "-"),
                 dest=o.name,
@@ -399,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=o.help,
             )
-        if name == "verify-lemmas":
+        if cmd.fault_hook:
             cp.add_argument(
                 "--inject-fault",
                 action="store_true",
@@ -409,35 +436,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUNNERS = {
-    "rate-curves": cmd_rate_curves,
-    "verify-lemmas": cmd_verify_lemmas,
-    "subcode-oracle": cmd_subcode_oracle,
-    "coset-trial": cmd_coset_trial,
-    "crossover": cmd_crossover,
-    "perm-sweep": cmd_perm_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    cmd = COMMANDS[args.command]
     try:
-        params = _resolve(args, COMMANDS[args.command][1])
-        if args.command == "verify-lemmas":
-            body, status = cmd_verify_lemmas(params, fault=args.inject_fault)
-        else:
-            body, status = _RUNNERS[args.command](params)
+        params = _resolve(args, cmd.opts)
+        hook = {"fault": args.inject_fault} if cmd.fault_hook else {}
+        body, status = cmd.run(params, **hook)
+        _emit(args.out, _header(args.command, params, args.out) + body)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(args.out, _header(args.command, params, args.out) + body)
     return status
 
 

@@ -24,6 +24,7 @@ from .gf2 import BitWord, BinaryMatrix
 from .ordering import Ordering
 from .rll import (
     RllSpec,
+    _bisect,
     enumerative_decode,
     enumerative_encode,
     is_constrained,
@@ -36,7 +37,6 @@ from .subcodes import RllSubcode, build_subcode
 __all__ = [
     "CosetPlan",
     "build_plan",
-    "coset_leader",
     "CosetTransmission",
     "encode",
     "DecodeResult",
@@ -139,18 +139,6 @@ def build_plan(
         outer_gen=sys_gen,
         inner=inner,
     )
-
-
-def coset_leader(codeword: BitWord, plan: CosetPlan) -> BitWord:
-    """Tail of a permuted-code codeword, zero on the first k coordinates.
-
-    Adding the leader to the codeword clears the tail, so the sum is the
-    systematic prefix padded with zeros.  The leader always lies in the
-    span of the permuted complement basis.
-    """
-    if len(codeword) != plan.outer_length:
-        raise ValueError("codeword length mismatch")
-    return BitWord((codeword.value >> plan.k) << plan.k, plan.outer_length)
 
 
 @dataclass(frozen=True)
@@ -364,13 +352,7 @@ def crossover_capacity(
             break
     if lo is None:
         return None
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect(lambda c: gap(c) <= 0.0, lo, hi, tol)
 
 
 def bsc_threshold(capacity_value: float, tol: float = 1e-9) -> float:
@@ -379,11 +361,4 @@ def bsc_threshold(capacity_value: float, tol: float = 1e-9) -> float:
     if not 0.0 <= capacity_value <= 1.0:
         raise ValueError("capacity must lie in [0, 1]")
     target = 1.0 - capacity_value
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if binary_entropy(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect(lambda p: binary_entropy(p) < target, 0.0, 0.5, tol)

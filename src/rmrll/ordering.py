@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "Ordering",
     "lexicographic_ordering",
     "gray_ordering",
-    "explicit_ordering",
     "sample_permutation",
     "RunProfile",
     "run_profile",
@@ -69,10 +68,6 @@ def lexicographic_ordering(m: int) -> Ordering:
 def gray_ordering(m: int) -> Ordering:
     """Reflected binary ordering: position j holds coordinate j ^ (j >> 1)."""
     return Ordering(m, tuple(j ^ (j >> 1) for j in range(1 << m)), "gray")
-
-
-def explicit_ordering(m: int, perm: Sequence[int]) -> Ordering:
-    return Ordering(m, tuple(perm), "explicit")
 
 
 def sample_permutation(m: int, seed) -> Ordering:

@@ -16,7 +16,6 @@ from .gf2 import BitWord
 
 __all__ = [
     "RllSpec",
-    "RllCountTable",
     "is_constrained",
     "is_constrained_value",
     "count_constrained",
@@ -68,60 +67,58 @@ def is_constrained(word: BitWord, spec: RllSpec) -> bool:
     return is_constrained_value(word.value, spec.d)
 
 
-class RllCountTable:
-    """Exact counts of constrained words by length, grown on demand.
+_COUNTS: dict[int, list[int]] = {}  # d -> counts by length, grown on demand
+
+
+def count_constrained(n: int, spec: RllSpec) -> int:
+    """Number of length-n words satisfying the gap constraint.
 
     a(0) = 1, a(n) = n + 1 for 1 <= n <= d, and
     a(n) = a(n-1) + a(n-d-1) afterwards.  Counts are exact big integers.
     """
-
-    def __init__(self, spec: RllSpec):
-        self.spec = spec
-        self._a = [1]
-
-    def count(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("length must be nonnegative")
-        a, d = self._a, self.spec.d
-        while len(a) <= n:
-            k = len(a)
-            a.append(k + 1 if k <= d else a[k - 1] + a[k - d - 1])
-        return a[n]
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    d = spec.d
+    a = _COUNTS.get(d)
+    if a is None:
+        a = _COUNTS[d] = [1]
+    while len(a) <= n:
+        k = len(a)
+        a.append(k + 1 if k <= d else a[k - 1] + a[k - d - 1])
+    return a[n]
 
 
-_TABLES: dict[int, RllCountTable] = {}
+def _bisect(below, lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi] around the point where ``below`` turns false until
+    it is at most ``tol`` wide, or as narrow as floats allow, and return
+    its midpoint.
 
-
-def _table(spec: RllSpec) -> RllCountTable:
-    tab = _TABLES.get(spec.d)
-    if tab is None:
-        tab = _TABLES[spec.d] = RllCountTable(spec)
-    return tab
-
-
-def count_constrained(n: int, spec: RllSpec) -> int:
-    """Number of length-n words satisfying the gap constraint."""
-    return _table(spec).count(n)
+    ``below(x)`` must hold left of that point and fail right of it.
+    """
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if mid == lo or mid == hi:  # lo and hi are adjacent floats
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def noiseless_capacity(spec: RllSpec, tol: float = 1e-12) -> float:
     """log2 of the growth rate of the constrained-word count.
 
     The growth rate is the unique root in [1, 2] of x**(d+1) = x**d + 1,
-    found by bisection to ``tol``.  d = 0 is unconstrained and returns
-    1.0 exactly.
+    found by bisection to ``tol`` on the equivalent, overflow-free test
+    d*log(x) + log(x - 1) < 0.  d = 0 is unconstrained and returns 1.0
+    exactly.
     """
     d = spec.d
     if d == 0:
         return 1.0
-    lo, hi = 1.0, 2.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if mid ** (d + 1) - mid**d - 1 < 0:
-            lo = mid
-        else:
-            hi = mid
-    return math.log2((lo + hi) / 2)
+    root = _bisect(lambda x: d * math.log(x) + math.log(x - 1) < 0, 1.0, 2.0, tol)
+    return math.log2(root)
 
 
 def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:

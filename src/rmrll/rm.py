@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .gf2 import BitWord, BinaryMatrix
+from .rll import _bisect
 
 __all__ = [
     "point_of_index",
-    "index_of_point",
     "eval_monomial",
     "RmCode",
     "complement_basis",
@@ -31,16 +31,6 @@ def point_of_index(i: int, m: int) -> tuple[int, ...]:
     if not 0 <= i < (1 << m):
         raise ValueError("index out of range")
     return tuple((i >> (m - j)) & 1 for j in range(1, m + 1))
-
-
-def index_of_point(z: Sequence[int]) -> int:
-    """Inverse of point_of_index."""
-    idx = 0
-    for b in z:
-        if b not in (0, 1):
-            raise ValueError("coordinates must be 0 or 1")
-        idx = (idx << 1) | b
-    return idx
 
 
 @lru_cache(maxsize=64)
@@ -63,27 +53,35 @@ def _variable_patterns(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def eval_monomial(m: int, variables: Iterable[int]) -> BitWord:
-    """Evaluation vector of the product of x_j for j in ``variables``.
-
-    Variables are 1-based; the empty product is the all-ones word.
-    """
-    n = 1 << m
-    var_set = set(variables)
-    if not all(1 <= j <= m for j in var_set):
-        raise ValueError("variables must lie in 1..m")
-    acc = (1 << n) - 1
-    patterns = _variable_patterns(m)
-    for j in var_set:
-        acc &= patterns[j - 1]
-    return BitWord(acc, n)
-
-
 def _monomials(m: int, r: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for deg in range(r + 1):
         out.extend(combinations(range(1, m + 1), deg))
     return tuple(out)
+
+
+def _monomial_rows(m: int, monomials: Iterable[Iterable[int]]) -> list[int]:
+    """Packed evaluation vectors of monomials given as 1-based variables."""
+    patterns = _variable_patterns(m)
+    all_ones = (1 << (1 << m)) - 1
+    rows = []
+    for mono in monomials:
+        acc = all_ones
+        for j in mono:
+            acc &= patterns[j - 1]
+        rows.append(acc)
+    return rows
+
+
+def eval_monomial(m: int, variables: Iterable[int]) -> BitWord:
+    """Evaluation vector of the product of x_j for j in ``variables``.
+
+    Variables are 1-based; the empty product is the all-ones word.
+    """
+    var_set = set(variables)
+    if not all(1 <= j <= m for j in var_set):
+        raise ValueError("variables must lie in 1..m")
+    return BitWord(_monomial_rows(m, [var_set])[0], 1 << m)
 
 
 class RmCode:
@@ -99,15 +97,7 @@ class RmCode:
         self.n = 1 << m
         self.monomials = _monomials(m, r)
         self.k = len(self.monomials)
-        patterns = _variable_patterns(m)
-        all_ones = (1 << self.n) - 1
-        rows = []
-        for mono in self.monomials:
-            acc = all_ones
-            for j in mono:
-                acc &= patterns[j - 1]
-            rows.append(acc)
-        self.gen = BinaryMatrix(rows, self.n)
+        self.gen = BinaryMatrix(_monomial_rows(m, self.monomials), self.n)
 
     def __repr__(self) -> str:
         return f"RmCode(m={self.m}, r={self.r})"
@@ -135,34 +125,13 @@ def complement_basis(m: int, r: int) -> BinaryMatrix:
     """
     if not 0 <= r <= m:
         raise ValueError("r must lie in 0..m")
-    n = 1 << m
-    patterns = _variable_patterns(m)
-    all_ones = (1 << n) - 1
-    rows = []
-    for deg in range(r + 1, m + 1):
-        for mono in combinations(range(1, m + 1), deg):
-            acc = all_ones
-            for j in mono:
-                acc &= patterns[j - 1]
-            rows.append(acc)
-    return BinaryMatrix(rows, n)
+    high = [mono for mono in _monomials(m, m) if len(mono) > r]
+    return BinaryMatrix(_monomial_rows(m, high), 1 << m)
 
 
 def _q_function(x: float) -> float:
     """Upper tail of the standard normal distribution."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def _q_inverse(p: float, tol: float) -> float:
-    """Bisection inverse of the Q function on [-10, 10]."""
-    lo, hi = -10.0, 10.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _q_function(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def select_order(m: int, rate: float, tol: float = 1e-12) -> int:
@@ -177,6 +146,7 @@ def select_order(m: int, rate: float, tol: float = 1e-12) -> int:
         raise ValueError("m must be at least 1")
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie strictly between 0 and 1")
-    q = _q_inverse(1.0 - rate, tol)
+    p = 1.0 - rate
+    q = _bisect(lambda x: _q_function(x) > p, -10.0, 10.0, tol)
     v = m / 2.0 + math.sqrt(m) / 2.0 * q
     return min(max(math.floor(v + 1e-9), 0), m)

@@ -11,19 +11,17 @@ subcode on small codes to measure how tight the construction is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .gf2 import BitWord, BinaryMatrix
 from .ordering import lexicographic_ordering, run_profile, subcode_dimension_bound
 from .rll import RllSpec, is_constrained_value
-from .rm import RmCode, eval_monomial
+from .rm import RmCode, _monomial_rows, _monomials
 
 __all__ = [
     "RllSubcode",
     "build_subcode",
     "subcode_rate",
-    "zero_one_complement",
     "largest_linear_rll_subcode",
 ]
 
@@ -53,11 +51,7 @@ def build_subcode(parent: RmCode, spec: RllSpec) -> RllSubcode:
     if m < z:
         raise ValueError(f"need m >= {z} to anchor the gap constraint for d={spec.d}")
     anchor = tuple(range(m - z + 1, m + 1))
-    rows = []
-    if r >= z:
-        for deg in range(r - z + 1):
-            for gvars in combinations(range(1, m - z + 1), deg):
-                rows.append(eval_monomial(m, gvars + anchor))
+    rows = _monomial_rows(m, [g + anchor for g in _monomials(m - z, r - z)])
     return RllSubcode(parent, spec, BinaryMatrix(rows, parent.n), len(rows))
 
 
@@ -70,15 +64,6 @@ def subcode_rate(m: int, r: int, spec: RllSpec) -> float:
     if r < z or m < z:
         return 0.0
     return sum(comb(m - z, i) for i in range(r - z + 1)) / (1 << m)
-
-
-def zero_one_complement(word: BitWord) -> BitWord:
-    """Complement map between the no-adjacent-zeros and the d=1 gap worlds.
-
-    A word with no two consecutive 0s complements to a word with no two
-    consecutive 1s, and vice versa.
-    """
-    return word.complement()
 
 
 def largest_linear_rll_subcode(

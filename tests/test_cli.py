@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from rmrll import cli
 from rmrll.cli import lemma_checks, main
 
 
@@ -34,6 +35,22 @@ class TestParsing:
         assert main(["crossover", "--d", "1"]) == 0
         out = capsys.readouterr().out
         assert "capacity_crossover=0.761260" in out
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["rate-curves", "--d", "1", "--out", str(out)]) == 2
+        assert "error: cannot write output:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_internal_value_error_is_not_usage_error(self, monkeypatch):
+        # only configuration errors map to exit 2; a fault inside a
+        # runner propagates instead of posing as a bad configuration
+        def broken(spec):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "noiseless_capacity", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["rate-curves", "--d", "1"])
 
 
 class TestConfigFile:
@@ -103,6 +120,11 @@ class TestRateCurves:
         code, _ = run(tmp_path, "rate-curves", "--d", "1", "--grid", "0.5")
         assert code == 2
         capsys.readouterr()
+
+    def test_large_gap_runs(self, tmp_path):
+        code, text = run(tmp_path, "rate-curves", "--d", "5000", "--grid", "0.1")
+        assert code == 0
+        assert len(body_lines(text)) == 1 + 10
 
 
 class TestVerifyLemmas:
@@ -218,6 +240,18 @@ class TestCosetTrial:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code, _ = run(
+            tmp_path,
+            "coset-trial",
+            "--m", "4", "--r", "1", "--d", "1",
+            "--part-exponent", "2",
+            "--channel", "bec", "--param", "0.1",
+            "--trials", "10", "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = [
             "coset-trial",
@@ -245,6 +279,18 @@ class TestCrossover:
         code, text = run(tmp_path, "crossover", "--d", "0")
         assert code == 0
         assert "crossover=none" in text
+
+    def test_large_gap_runs(self, tmp_path):
+        code, text = run(tmp_path, "crossover", "--d", "5000")
+        assert code == 0
+        assert "capacity_crossover=" in text
+
+    def test_tolerance_below_float_spacing_terminates(self, tmp_path):
+        # no float bracket around 0.76 is 1e-300 wide; bisection stops
+        # once its ends are adjacent floats
+        code, text = run(tmp_path, "crossover", "--d", "1", "--tol", "1e-300")
+        assert code == 0
+        assert "capacity_crossover=0.761260" in text
 
 
 class TestPermSweep:
@@ -278,6 +324,16 @@ class TestPermSweep:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code, _ = run(
+            tmp_path,
+            "perm-sweep",
+            "--m", "4", "--r", "1", "--d", "1",
+            "--samples", "2", "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 class TestHeaderComments:

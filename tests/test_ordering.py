@@ -6,7 +6,6 @@ import pytest
 from rmrll.ordering import (
     Ordering,
     asymptotic_linear_bound,
-    explicit_ordering,
     gray_ordering,
     lex_run_count,
     lexicographic_ordering,
@@ -60,16 +59,16 @@ class TestOrderings:
         assert a.kind == "sampled" and a.seed == 123
 
     def test_inverse(self):
-        o = explicit_ordering(2, (2, 0, 3, 1))
+        o = Ordering(2, (2, 0, 3, 1), "explicit")
         inv = o.inverse()
         for pos, coord in enumerate(o.perm):
             assert inv[coord] == pos
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            explicit_ordering(2, (0, 1, 2))
+            Ordering(2, (0, 1, 2), "explicit")
         with pytest.raises(ValueError):
-            explicit_ordering(2, (0, 1, 2, 2))
+            Ordering(2, (0, 1, 2, 2), "explicit")
         with pytest.raises(ValueError):
             Ordering(2, (0, 3, 1, 2), "gray")  # 0 -> 3 flips two bits
 

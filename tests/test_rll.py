@@ -5,7 +5,6 @@ import pytest
 
 from rmrll.gf2 import BitWord
 from rmrll.rll import (
-    RllCountTable,
     RllSpec,
     count_constrained,
     enumerative_decode,
@@ -66,10 +65,12 @@ class TestCounts:
         assert count_constrained(64, RllSpec(0)) == 1 << 64
 
     def test_table_growth_is_consistent(self):
-        tab = RllCountTable(RllSpec(2))
-        assert tab.count(30) == tab.count(29) + tab.count(27)
+        spec = RllSpec(2)
+        assert count_constrained(30, spec) == (
+            count_constrained(29, spec) + count_constrained(27, spec)
+        )
         with pytest.raises(ValueError):
-            tab.count(-1)
+            count_constrained(-1, spec)
 
     def test_payload_bits(self):
         assert payload_bits(22, RllSpec(1)) == 15
@@ -100,6 +101,19 @@ class TestCapacity:
     def test_decreasing_in_d(self):
         caps = [noiseless_capacity(RllSpec(d)) for d in range(6)]
         assert all(a > b for a, b in zip(caps, caps[1:]))
+
+    def test_zero_tolerance_terminates(self):
+        for d in (1, 2, 5000):
+            exact = noiseless_capacity(RllSpec(d), tol=0.0)
+            assert abs(exact - noiseless_capacity(RllSpec(d))) < 1e-11
+
+    def test_large_gap_is_finite(self):
+        # x**(d+1) overflows a float at these gaps; the log-form test does not
+        for d in (5000, 10**6):
+            cap = noiseless_capacity(RllSpec(d))
+            assert 0.0 < cap < 1.0
+            x = 2.0**cap
+            assert abs(d * math.log(x) + math.log(x - 1)) < 1e-4
 
 
 class TestEnumerative:

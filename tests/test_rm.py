@@ -8,7 +8,6 @@ from rmrll.rm import (
     RmCode,
     complement_basis,
     eval_monomial,
-    index_of_point,
     point_of_index,
     select_order,
 )
@@ -20,18 +19,10 @@ class TestPoints:
     def test_first_variable_is_most_significant(self):
         assert point_of_index(6, 3) == (1, 1, 0)
         assert point_of_index(1, 3) == (0, 0, 1)
-        assert index_of_point((1, 1, 0)) == 6
-
-    def test_round_trip(self):
-        for m in range(1, 6):
-            for i in range(1 << m):
-                assert index_of_point(point_of_index(i, m)) == i
 
     def test_validation(self):
         with pytest.raises(ValueError):
             point_of_index(8, 3)
-        with pytest.raises(ValueError):
-            index_of_point((0, 2))
 
 
 class TestEvalMonomial:

@@ -10,7 +10,6 @@ from rmrll.subcodes import (
     build_subcode,
     largest_linear_rll_subcode,
     subcode_rate,
-    zero_one_complement,
 )
 
 from oracles import gap_ok
@@ -111,12 +110,12 @@ class TestComplementMap:
         for v in range(1 << 8):
             w = BitWord(v, 8)
             bits = list(w)
-            comp = list(zero_one_complement(w))
+            comp = list(w.complement())
             assert gap_ok(bits, 1) == gap_ok([1 - b for b in comp], 1)
 
     def test_involution(self):
         w = BitWord.from_string("0110100")
-        assert zero_one_complement(zero_one_complement(w)) == w
+        assert w.complement().complement() == w
 
 
 class TestOracle:
