@@ -159,11 +159,16 @@ def cmd_rate_curves(p: dict) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
+def _check_m_max(m_max: int) -> None:
+    if not 1 <= m_max <= 12:
+        raise ValueError("m-max must lie in 1..12")
+
+
 def lemma_checks(m_max: int, fault: bool = False) -> tuple[list[str], bool]:
     """Structural verification report; ``fault`` corrupts one generator
-    as a negative control for the exit-status contract."""
-    if not 1 <= m_max <= 12:
-        raise UsageError("m-max must lie in 1..12")
+    as a negative control for the exit-status contract.  Raises
+    ValueError for m_max outside 1..12."""
+    _check_m_max(m_max)
     lines = []
     all_ok = True
 
@@ -219,6 +224,10 @@ def lemma_checks(m_max: int, fault: bool = False) -> tuple[list[str], bool]:
 
 
 def cmd_verify_lemmas(p: dict, fault: bool = False) -> tuple[list[str], int]:
+    try:
+        _check_m_max(p["m_max"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     lines, ok = lemma_checks(p["m_max"], fault=fault)
     return lines, EXIT_OK if ok else EXIT_FAIL
 

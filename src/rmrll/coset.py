@@ -16,6 +16,7 @@ exactly and prefix coordinates carry the channel observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .rll import (
     enumerative_decode,
     enumerative_encode,
     is_constrained,
+    is_constrained_value,
     noiseless_capacity,
     payload_bits,
 )
@@ -47,9 +49,10 @@ __all__ = [
     "check_bsc_limits",
 ]
 
-# The flip-channel decoder scans every payload index and every inner
-# message, so it stays exhaustive only up to these sizes.
-BSC_MAX_PAYLOAD_BITS = 20
+# The flip-channel decoder tries every inner message of each part and
+# every prefix in the coset {w : w P = tail}, which has 2**(k - rank P)
+# members; it stays exhaustive only up to these sizes.
+BSC_MAX_PAYLOAD_BITS = 20  # bound on k - rank(P), the coset's dimension
 BSC_MAX_INNER_DIM = 16
 
 
@@ -84,6 +87,17 @@ class CosetPlan:
     def realized_rate(self) -> float:
         return self.payload_bits / self.total_length
 
+    @property
+    def tail_mask(self) -> int:
+        """Columns k..n-1 of the systematic generator [I | P]."""
+        return ((1 << (self.outer_length - self.k)) - 1) << self.k
+
+    @cached_property
+    def tail_rank(self) -> int:
+        """rank(P): the prefixes sharing one tail form a coset of ker(P)
+        of dimension k - rank(P)."""
+        return self.outer_gen.mask_columns(self.tail_mask).rank()
+
 
 def build_plan(
     m: int,
@@ -107,6 +121,11 @@ def build_plan(
     outer = RmCode(m, r)
     k, length = outer.k, outer.n
     if inner_order is None:
+        if k == length:
+            raise ValueError(
+                "r = m leaves no tail, so no inner order can be selected;"
+                " give the inner order"
+            )
         inner_order = select_order(n_inner, k / length)
     if not z <= inner_order <= n_inner:
         raise ValueError(
@@ -218,11 +237,10 @@ def _decode_bec(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
             return DecodeResult("failure", stage=f"part:{i}")
         tail_val |= sol.vector.value << (i * dim)
     k, length = plan.k, plan.outer_length
-    tail_bits = (1 << (length - k)) - 1
-    tail_val &= tail_bits  # padding carries no information
+    tail = (tail_val << k) & plan.tail_mask  # padding carries no information
 
-    system = plan.outer_gen.mask_columns(_packed(prefix_obs != ERASED) | tail_bits << k)
-    sol = system.solve_right(BitWord(_packed(prefix_obs == 1) | tail_val << k, length))
+    system = plan.outer_gen.mask_columns(_packed(prefix_obs != ERASED) | plan.tail_mask)
+    sol = system.solve_right(BitWord(_packed(prefix_obs == 1) | tail, length))
     if sol.status == "underdetermined":
         return DecodeResult("ambiguous")
     if sol.status == "inconsistent":
@@ -238,11 +256,12 @@ def _decode_bec(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
 
 def check_bsc_limits(plan: CosetPlan) -> None:
     """Raise ValueError when the plan is too large for flip-channel decoding."""
-    if plan.payload_bits > BSC_MAX_PAYLOAD_BITS or plan.inner.k > BSC_MAX_INNER_DIM:
+    coset_dim = plan.k - plan.tail_rank
+    if coset_dim > BSC_MAX_PAYLOAD_BITS or plan.inner.k > BSC_MAX_INNER_DIM:
         raise ValueError(
-            f"bsc decoding is exhaustive and needs payload_bits <= {BSC_MAX_PAYLOAD_BITS}"
+            f"bsc decoding is exhaustive and needs k - rank(P) <= {BSC_MAX_PAYLOAD_BITS}"
             f" and inner dimension <= {BSC_MAX_INNER_DIM}"
-            f" (plan has {plan.payload_bits} and {plan.inner.k})"
+            f" (plan has {coset_dim} and {plan.inner.k})"
         )
 
 
@@ -258,23 +277,37 @@ def _decode_bsc(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
         yv = _packed(parts_obs[i * npart : (i + 1) * npart] == 1)
         best_u = min(range(1 << dim), key=lambda u: (codebook[u] ^ yv).bit_count())
         tail_val |= best_u << (i * dim)
-    k, length = plan.k, plan.outer_length
-    tail_val &= (1 << (length - k)) - 1
+    k = plan.k
+    tail = (tail_val << k) & plan.tail_mask  # padding carries no information
 
+    # the prefixes with this tail: a particular solution of w P = tail
+    # plus every combination of a kernel basis of P
+    system = plan.outer_gen.mask_columns(plan.tail_mask)
+    sol = system.solve_right(BitWord(tail, plan.outer_length))
+    if sol.status == "inconsistent":
+        return DecodeResult("failure", stage="outer")
+    d = plan.spec.d
+    words = [sol.vector.value]
+    for basis_vec in reversed(sol.kernel):  # descending highest bit
+        # the bits above this vector's highest bit are final in every word
+        # from here on, so a word that breaks the gap there is dropped now
+        v = basis_vec.value
+        words = [w for w in words if is_constrained_value(w >> v.bit_length(), d)]
+        words += [w ^ v for w in words]
     yv1 = _packed(prefix_obs == 1)
     best = None
-    best_dist = None
-    for index in range(1 << plan.payload_bits):
-        w = enumerative_encode(index, k, plan.spec)
-        c = plan.outer_gen.vecmat(w)
-        if c.value >> k != tail_val:
+    for wv in words:
+        if not is_constrained_value(wv, d):
             continue
-        dist = (w.value ^ yv1).bit_count()
-        if best_dist is None or dist < best_dist:
-            best, best_dist = index, dist
+        index = enumerative_decode(BitWord(wv, k), plan.spec)
+        if index >= 1 << plan.payload_bits:
+            continue
+        key = ((wv ^ yv1).bit_count(), index)
+        if best is None or key < best:
+            best = key
     if best is None:
         return DecodeResult("failure", stage="outer")
-    return DecodeResult("message", message=best)
+    return DecodeResult("message", message=best[1])
 
 
 def decode(
@@ -288,9 +321,11 @@ def decode(
     Erasure channels solve exact linear systems: part messages first,
     then the outer system with known tail and observed prefix; an
     underdetermined system reports ambiguity, never a guess.  Flip
-    channels use exhaustive minimum-distance decoding per part and an
-    exhaustive scan of constrained prefixes consistent with the
-    recovered tail.
+    channels use exhaustive minimum-distance decoding per part, then
+    solve w P = tail on the systematic generator [I | P]: among the
+    prefixes w of that coset of ker(P) that are constrained and encode a
+    message index, the one nearest the prefix observation wins (ties go
+    to the smaller index); no such prefix is a failure at "outer".
     """
     prefix_obs = np.asarray(prefix_obs)
     parts_obs = np.asarray(parts_obs)

@@ -144,26 +144,39 @@ class Solution:
 
     ``status`` is "unique" (``vector`` holds the solution), "inconsistent"
     (y is outside the row space), or "underdetermined" (consistent but
-    rank-deficient; ``free_count`` gives the number of free variables).
+    rank-deficient).  An underdetermined solution carries a particular
+    ``vector`` and a ``kernel`` basis of the u with u * M = 0, in
+    ascending order of highest bit; the solutions are ``vector`` plus
+    every combination of the kernel.
     """
 
     status: str
     vector: BitWord | None = None
-    free_count: int | None = None
+    kernel: tuple[BitWord, ...] = ()
 
     @property
     def is_unique(self) -> bool:
         return self.status == "unique"
 
+    @property
+    def free_count(self) -> int:
+        """Number of free variables, nrows - rank for a consistent system."""
+        return len(self.kernel)
 
-def _row_basis(rows: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """Triangular basis of the row space keyed by leading bit.
+
+def _row_basis(rows: tuple[int, ...]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Triangular basis of the row space keyed by leading bit, and the
+    coefficient vectors of the rows that reduce to zero.
 
     Each entry maps a leading bit position to ``(vector, coefficients)``
     where ``vector = coefficients * M`` with coefficient bit i selecting
-    row i.  Shared by rank and solve.
+    row i.  The zero-reducing coefficients, in row order, form a basis of
+    the left kernel: nrows - rank vectors, row i's with bit i as its
+    highest bit.
+    Shared by rank and solve.
     """
     basis: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
     for i, row in enumerate(rows):
         vec, coeff = row, 1 << i
         while vec:
@@ -174,7 +187,9 @@ def _row_basis(rows: tuple[int, ...]) -> dict[int, tuple[int, int]]:
                 break
             vec ^= hit[0]
             coeff ^= hit[1]
-    return basis
+        else:
+            kernel.append(coeff)
+    return basis, kernel
 
 
 class BinaryMatrix:
@@ -249,7 +264,7 @@ class BinaryMatrix:
         return out
 
     def rank(self) -> int:
-        return len(_row_basis(self._rows))
+        return len(_row_basis(self._rows)[0])
 
     def mask_columns(self, mask: int) -> "BinaryMatrix":
         """Same shape, with the columns whose bit in ``mask`` is 0 zeroed.
@@ -327,7 +342,7 @@ class BinaryMatrix:
         """Solve u * M = y for the row-combination vector u."""
         if len(y) != self._ncols:
             raise ValueError("target length must equal the column count")
-        basis = _row_basis(self._rows)
+        basis, kernel = _row_basis(self._rows)
         yv, coeff = y.value, 0
         while yv:
             hit = basis.get(yv.bit_length() - 1)
@@ -335,7 +350,8 @@ class BinaryMatrix:
                 return Solution("inconsistent")
             yv ^= hit[0]
             coeff ^= hit[1]
-        rank = len(basis)
-        if rank == self.nrows:
-            return Solution("unique", vector=BitWord(coeff, self.nrows))
-        return Solution("underdetermined", free_count=self.nrows - rank)
+        vector = BitWord(coeff, self.nrows)
+        if not kernel:
+            return Solution("unique", vector=vector)
+        free = tuple(BitWord(c, self.nrows) for c in kernel)
+        return Solution("underdetermined", vector=vector, kernel=free)

@@ -143,13 +143,18 @@ class TestVerifyLemmas:
         assert "status=FAIL" in text and "result=fail" in text
 
     def test_m_max_validation(self, tmp_path, capsys):
-        assert run(tmp_path, "verify-lemmas", "--m-max", "13")[0] == 2
-        assert run(tmp_path, "verify-lemmas", "--m-max", "0")[0] == 2
-        capsys.readouterr()
+        for m_max in ("13", "0"):
+            assert run(tmp_path, "verify-lemmas", "--m-max", m_max)[0] == 2
+            assert "error: m-max must lie in 1..12" in capsys.readouterr().err
 
     def test_library_hook_matches_cli(self):
         lines, ok = lemma_checks(2)
         assert ok and lines[-1] == "result=pass"
+
+    def test_library_hook_raises_value_error(self):
+        for m_max in (0, 13):
+            with pytest.raises(ValueError, match="m-max must lie in 1..12"):
+                lemma_checks(m_max)
 
 
 class TestSubcodeOracle:
@@ -201,6 +206,62 @@ class TestCosetTrial:
         )
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
+
+    def test_full_order_without_inner_order_names_the_cause(self, tmp_path, capsys):
+        argv = [
+            "coset-trial",
+            "--m", "3", "--r", "3", "--d", "1", "--part-exponent", "1",
+            "--channel", "bec", "--param", "0.1", "--trials", "2", "--seed", "1",
+        ]
+        assert run(tmp_path, *argv)[0] == 2
+        err = capsys.readouterr().err
+        assert "infeasible plan: r = m leaves no tail" in err
+        assert "inner order" in err
+        # with an explicit inner order the same configuration runs
+        assert run(tmp_path, *argv, "--inner-order", "1")[0] == 0
+
+    def test_bsc_pinned_row(self, tmp_path):
+        code, text = run(
+            tmp_path,
+            "coset-trial",
+            "--m", "5", "--r", "2", "--d", "1",
+            "--part-exponent", "2",
+            "--channel", "bsc", "--param", "0.05",
+            "--trials", "300", "--seed", "77",
+        )
+        assert code == 0
+        assert body_lines(text)[1] == (
+            "5,2,1,2,2,16,4,16,11,0.137500,bsc,0.050000,300,41,0.136667,0.038870"
+        )
+
+    def test_bsc_large_payload_runs(self, tmp_path):
+        # 64 payload bits; the tail fixes the prefix (k - rank P = 0)
+        code, text = run(
+            tmp_path,
+            "coset-trial",
+            "--m", "8", "--r", "3", "--d", "1",
+            "--part-exponent", "4",
+            "--channel", "bsc", "--param", "0.01",
+            "--trials", "2", "--seed", "7",
+        )
+        assert code == 0
+        record = dict(zip(*(line.split(",") for line in body_lines(text))))
+        assert record["payload_bits"] == "64"
+
+    def test_bsc_coset_cap_is_usage_error(self, tmp_path, capsys):
+        code, _ = run(
+            tmp_path,
+            "coset-trial",
+            "--m", "8", "--r", "4", "--d", "1",
+            "--part-exponent", "4",
+            "--channel", "bsc", "--param", "0.01",
+            "--trials", "2", "--seed", "7",
+        )
+        assert code == 2
+        assert (
+            "error: bsc decoding is exhaustive and needs k - rank(P) <= 20"
+            " and inner dimension <= 16 (plan has 70 and 5)"
+        ) in capsys.readouterr().err
 
     def test_channel_choice_validated(self, tmp_path, capsys):
         code, _ = run(

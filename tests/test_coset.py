@@ -5,9 +5,11 @@ import pytest
 
 from rmrll.channels import BEC, BSC, ERASED
 from rmrll.coset import (
+    BSC_MAX_PAYLOAD_BITS,
     DecodeResult,
     bsc_threshold,
     build_plan,
+    check_bsc_limits,
     coset_rate_lower_bound,
     crossover_capacity,
     decode,
@@ -71,6 +73,45 @@ def gather_decode_bec(prefix_obs, parts_obs, plan):
     return DecodeResult("message", message=index)
 
 
+def prefix_table(plan):
+    """(tail, prefix value) of every message index, in index order."""
+    table = []
+    for index in range(1 << plan.payload_bits):
+        w = enumerative_encode(index, plan.k, plan.spec)
+        table.append((plan.outer_gen.vecmat(w).value >> plan.k, w.value))
+    return table
+
+
+def scan_decode_bsc(prefix_obs, parts_obs, plan, table):
+    """Reference flip-channel decoder: minimum distance per part, then a
+    scan of every message index (``table`` from prefix_table) for the
+    prefix nearest the observation among those with the decoded tail;
+    ties go to the smaller index."""
+
+    def packed(bits):
+        return sum(1 << j for j, b in enumerate(bits) if b == 1)
+
+    dim, npart = plan.inner.k, plan.part_length
+    codebook = [plan.inner.encode(BitWord(u, dim)).value for u in range(1 << dim)]
+    tail_val = 0
+    for i in range(plan.part_count):
+        yv = packed(parts_obs[i * npart : (i + 1) * npart])
+        best_u = min(range(1 << dim), key=lambda u: (codebook[u] ^ yv).bit_count())
+        tail_val |= best_u << (i * dim)
+    tail_val &= (1 << (plan.outer_length - plan.k)) - 1
+    yv = packed(prefix_obs)
+    best, best_dist = None, None
+    for index, (tail, w) in enumerate(table):
+        if tail != tail_val:
+            continue
+        dist = (w ^ yv).bit_count()
+        if best_dist is None or dist < best_dist:
+            best, best_dist = index, dist
+    if best is None:
+        return DecodeResult("failure", stage="outer")
+    return DecodeResult("message", message=best)
+
+
 def small_plan():
     # inner length 8, dimension 1; 8 messages, quick to exhaust
     return build_plan(4, 1, RllSpec(1), part_exponent=2, inner_order=1)
@@ -127,6 +168,13 @@ class TestBuildPlan:
             build_plan(4, 1, RllSpec(1), 2, 0)  # inner order below anchor count
         with pytest.raises(ValueError):
             build_plan(4, 1, RllSpec(1), 2, 4)  # inner order above inner length
+
+    def test_full_order_needs_an_inner_order(self):
+        # r = m leaves no tail, so the selection rule has no rate to use
+        with pytest.raises(ValueError, match="no tail.*inner order"):
+            build_plan(3, 3, RllSpec(1), 1)
+        plan = build_plan(3, 3, RllSpec(1), 1, 1)
+        assert plan.k == plan.outer_length and plan.part_count == 0
 
 
 class TestEncode:
@@ -313,6 +361,55 @@ class TestDecodeBsc:
         b = decode(obs[: plan.k], obs[plan.k :], plan, BSC(0.1))
         assert a == b
         assert a.is_message  # minimum-distance decoding always answers
+
+    def test_matches_scan_reference(self):
+        # k <= n - k: the tail fixes the prefix (rank P = k); k > n - k:
+        # the prefixes with one tail form a coset of ker(P) of dimension
+        # k - rank P (6, 6, 20 and 14 for the last four plans)
+        plans = [
+            small_plan(),
+            build_plan(5, 2, RllSpec(1), 2, 2),
+            build_plan(5, 2, RllSpec(2), 2, 2),
+            build_plan(3, 2, RllSpec(1), 1, 1),
+            build_plan(4, 2, RllSpec(2), 2, 2),
+            build_plan(5, 3, RllSpec(2), 2, 3),
+            build_plan(4, 3, RllSpec(1), 2, 2),
+        ]
+        rng = np.random.default_rng(77)
+        outcomes = set()
+        for plan in plans:
+            table = prefix_table(plan)
+            for trial in range(50):
+                tx = encode(int(rng.integers(1 << plan.payload_bits)), plan)
+                n = plan.total_length
+                flips = np.flatnonzero(rng.random(n) < rng.choice([0.02, 0.1, 0.25]))
+                obs = observe(tx.transmitted, flips=flips)
+                got = decode(obs[: plan.k], obs[plan.k :], plan, BSC(0.1))
+                want = scan_decode_bsc(obs[: plan.k], obs[plan.k :], plan, table)
+                assert got == want
+                outcomes.add((got.status, got.stage))
+        assert outcomes == {("message", None), ("failure", "outer")}
+
+    def test_coset_beyond_payload_cap(self):
+        # 64 payload bits, but rank P = k: one candidate per tail
+        plan = build_plan(8, 3, RllSpec(1), 4)
+        assert plan.payload_bits > BSC_MAX_PAYLOAD_BITS
+        assert plan.tail_rank == plan.k
+        check_bsc_limits(plan)
+        message = (1 << plan.payload_bits) - 12345
+        tx = encode(message, plan)
+        obs = observe(tx.transmitted, flips=[0, 5, plan.k + 3])
+        res = decode(obs[: plan.k], obs[plan.k :], plan, BSC(0.01))
+        assert res.is_message and res.message == message
+
+    def test_cap_bounds_coset_dimension(self):
+        plan = build_plan(8, 4, RllSpec(1), 4)
+        assert plan.k - plan.tail_rank == 70
+        with pytest.raises(ValueError, match=r"k - rank\(P\) <= 20.*plan has 70"):
+            check_bsc_limits(plan)
+        obs = np.zeros(plan.total_length, dtype=np.int8)
+        with pytest.raises(ValueError, match="plan has 70"):
+            decode(obs[: plan.k], obs[plan.k :], plan, BSC(0.01))
 
 
 class TestRateBound:

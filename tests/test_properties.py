@@ -3,25 +3,38 @@
 Monomial evaluations are checked against the pointwise oracle in
 oracles.py, and every generator that is built from monomials (RM codes,
 complement bases, anchored subcodes) against ``eval_monomial`` of the
-monomials it is defined by.  Example counts are bounded so the suite
-stays fast.
+monomials it is defined by.  Linear solving and row reduction are
+checked against the numpy rank and RREF oracles.  Example counts are
+bounded so the suite stays fast.
 """
 
 from itertools import combinations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmrll.gf2 import BitWord
+from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.rll import RllSpec, count_constrained, enumerative_decode, enumerative_encode
 from rmrll.rm import RmCode, complement_basis, eval_monomial
 from rmrll.subcodes import build_subcode
 
-from oracles import eval_monomial_pointwise, gap_ok
+from oracles import eval_monomial_pointwise, gap_ok, numpy_rank, numpy_rref
 
 bounded = settings(max_examples=60, deadline=None)
 
 code_params = st.integers(1, 7).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m)))
+
+
+@st.composite
+def matrices(draw):
+    """A random BinaryMatrix of at most 9x9; rows drawn often from a few
+    fixed values repeat, so rank deficiency is common."""
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(1, 9))
+    full = (1 << ncols) - 1
+    row = st.one_of(st.integers(0, full), st.sampled_from([0, 1 << (ncols - 1), full]))
+    return BinaryMatrix(draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
 
 
 def degree_lex(variables, degrees):
@@ -101,3 +114,52 @@ class TestEnumerativeBijection:
         index = enumerative_decode(word, spec)
         assert 0 <= index < count_constrained(n, spec)
         assert enumerative_encode(index, n, spec) == word
+
+
+class TestLinearSolve:
+    @bounded
+    @given(matrices(), st.data())
+    def test_status_matches_oracle_ranks(self, mat, data):
+        y = BitWord(data.draw(st.integers(0, (1 << mat.ncols) - 1)), mat.ncols)
+        rank = numpy_rank(mat.to_array())
+        stacked = numpy_rank(np.vstack([mat.to_array(), y.to_array()]))
+        sol = mat.solve_right(y)
+        if stacked > rank:
+            assert sol.status == "inconsistent"
+            assert sol.vector is None and sol.kernel == ()
+            return
+        assert sol.status == ("unique" if rank == mat.nrows else "underdetermined")
+        assert mat.vecmat(sol.vector) == y
+        assert sol.free_count == mat.nrows - rank
+
+    @bounded
+    @given(matrices(), st.data())
+    def test_consistent_target_is_solved(self, mat, data):
+        # a target built as a row combination is always consistent
+        u = BitWord(data.draw(st.integers(0, (1 << mat.nrows) - 1)), mat.nrows)
+        sol = mat.solve_right(mat.vecmat(u))
+        assert sol.status != "inconsistent"
+        assert mat.vecmat(sol.vector) == mat.vecmat(u)
+        if sol.is_unique:
+            assert sol.vector == u
+
+    @bounded
+    @given(matrices())
+    def test_kernel_basis(self, mat):
+        rank = numpy_rank(mat.to_array())
+        sol = mat.solve_right(BitWord(0, mat.ncols))
+        kernel = sol.kernel
+        assert len(kernel) == mat.nrows - rank
+        zero = BitWord(0, mat.ncols)
+        assert all(len(v) == mat.nrows and mat.vecmat(v) == zero for v in kernel)
+        if kernel:
+            rows = np.array([v.to_array() for v in kernel])
+            assert numpy_rank(rows) == len(kernel)
+
+    @bounded
+    @given(matrices())
+    def test_rref_matches_oracle(self, mat):
+        reduced, pivots = mat.rref()
+        want, want_pivots = numpy_rref(mat.to_array())
+        assert pivots == want_pivots
+        assert np.array_equal(reduced.to_array(), want)
