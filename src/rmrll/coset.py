@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import BEC, BSC, ERASED, binary_entropy
-from .gf2 import BitWord, BinaryMatrix
+from .gf2 import BitWord, BinaryMatrix, Solution
 from .ordering import Ordering
 from .rll import (
     RllSpec,
@@ -97,6 +97,12 @@ class CosetPlan:
         """rank(P): the prefixes sharing one tail form a coset of ker(P)
         of dimension k - rank(P)."""
         return self.outer_gen.mask_columns(self.tail_mask).rank()
+
+    @cached_property
+    def inner_codebook(self) -> tuple[int, ...]:
+        """Packed inner codeword of every inner message, by message."""
+        dim = self.inner.k
+        return tuple(self.inner.encode(BitWord(u, dim)).value for u in range(1 << dim))
 
 
 def build_plan(
@@ -223,6 +229,39 @@ def _packed(bits: np.ndarray) -> int:
     return int.from_bytes(raw.tobytes(), "little")
 
 
+def _solve_outer(plan: CosetPlan, known: int, values: int, tail: int) -> Solution:
+    """Solve [I | P] for the prefixes w that carry ``values`` (zero off
+    ``known``) on the prefix bits set in ``known`` and have codeword
+    tail ``tail``.
+
+    Only the prefix bits off ``known`` are unknowns: their rows of P
+    must sum to the tail minus the known bits' contribution.  The
+    returned Solution is over all k prefix bits.  Its status and unique
+    vector are those of the full system on the known prefix columns and
+    the tail, whose rank is popcount(known) + rank of the unknown rows
+    of P.
+    """
+    k = plan.k
+    rows = plan.outer_gen.row_values
+    target = (plan.outer_gen.vecmat(BitWord(values, k)).value ^ tail) & plan.tail_mask
+    unknown = BitWord(((1 << k) - 1) & ~known, k).support()
+    system = BinaryMatrix([rows[i] & plan.tail_mask for i in unknown], plan.outer_length)
+    sol = system.solve_right(BitWord(target, plan.outer_length))
+    if sol.status == "inconsistent":
+        return sol
+
+    def scatter(u: BitWord, base: int = 0) -> BitWord:
+        for j in u.support():
+            base |= 1 << unknown[j]
+        return BitWord(base, k)
+
+    return Solution(
+        sol.status,
+        vector=scatter(sol.vector, values),
+        kernel=tuple(scatter(v) for v in sol.kernel),
+    )
+
+
 def _decode_bec(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
     dim = plan.inner.k
     npart = plan.part_length
@@ -236,11 +275,9 @@ def _decode_bec(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
         if sol.status == "inconsistent":
             return DecodeResult("failure", stage=f"part:{i}")
         tail_val |= sol.vector.value << (i * dim)
-    k, length = plan.k, plan.outer_length
-    tail = (tail_val << k) & plan.tail_mask  # padding carries no information
+    tail = (tail_val << plan.k) & plan.tail_mask  # padding carries no information
 
-    system = plan.outer_gen.mask_columns(_packed(prefix_obs != ERASED) | plan.tail_mask)
-    sol = system.solve_right(BitWord(_packed(prefix_obs == 1) | tail, length))
+    sol = _solve_outer(plan, _packed(prefix_obs != ERASED), _packed(prefix_obs == 1), tail)
     if sol.status == "underdetermined":
         return DecodeResult("ambiguous")
     if sol.status == "inconsistent":
@@ -269,9 +306,7 @@ def _decode_bsc(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
     check_bsc_limits(plan)
     dim = plan.inner.k
     npart = plan.part_length
-    codebook = [
-        plan.inner.encode(BitWord(u, dim)).value for u in range(1 << dim)
-    ]
+    codebook = plan.inner_codebook
     tail_val = 0
     for i in range(plan.part_count):
         yv = _packed(parts_obs[i * npart : (i + 1) * npart] == 1)
@@ -282,8 +317,7 @@ def _decode_bsc(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
 
     # the prefixes with this tail: a particular solution of w P = tail
     # plus every combination of a kernel basis of P
-    system = plan.outer_gen.mask_columns(plan.tail_mask)
-    sol = system.solve_right(BitWord(tail, plan.outer_length))
+    sol = _solve_outer(plan, 0, 0, tail)
     if sol.status == "inconsistent":
         return DecodeResult("failure", stage="outer")
     d = plan.spec.d
@@ -318,14 +352,17 @@ def decode(
 ) -> DecodeResult:
     """Two-stage decode of the prefix/parts observations.
 
-    Erasure channels solve exact linear systems: part messages first,
-    then the outer system with known tail and observed prefix; an
+    Both channels share one outer step on the systematic generator
+    [I | P]: with the tail recovered from the parts, the prefix bits
+    not known exactly are solved from w P = tail.  Erasure channels
+    solve each part exactly, then only the erased prefix bits, whose
+    rows of P must give the tail minus the unerased bits' share; an
     underdetermined system reports ambiguity, never a guess.  Flip
     channels use exhaustive minimum-distance decoding per part, then
-    solve w P = tail on the systematic generator [I | P]: among the
-    prefixes w of that coset of ker(P) that are constrained and encode a
-    message index, the one nearest the prefix observation wins (ties go
-    to the smaller index); no such prefix is a failure at "outer".
+    solve for all k prefix bits: among the prefixes w of that coset of
+    ker(P) that are constrained and encode a message index, the one
+    nearest the prefix observation wins (ties go to the smaller index);
+    no such prefix is a failure at "outer".
     """
     prefix_obs = np.asarray(prefix_obs)
     parts_obs = np.asarray(parts_obs)

@@ -164,31 +164,32 @@ class Solution:
         return len(self.kernel)
 
 
-def _row_basis(rows: tuple[int, ...]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Triangular basis of the row space keyed by leading bit, and the
-    coefficient vectors of the rows that reduce to zero.
+def _row_basis(rows: tuple[int, ...], track: bool = True) -> tuple[dict[int, int], list[int]]:
+    """Triangular basis of the row space, and the coefficient vectors of
+    the rows that reduce to zero.
 
-    Each entry maps a leading bit position to ``(vector, coefficients)``
-    where ``vector = coefficients * M`` with coefficient bit i selecting
-    row i.  The zero-reducing coefficients, in row order, form a basis of
-    the left kernel: nrows - rank vectors, row i's with bit i as its
-    highest bit.
+    Each basis entry packs ``vector << nrows | coefficients``, where
+    ``vector = coefficients * M`` with coefficient bit i selecting row i,
+    and is keyed by its bit length, so one XOR updates both halves.  The
+    zero-reducing coefficients, in row order, form a basis of the left
+    kernel: nrows - rank vectors, row i's with bit i as its highest bit.
+    With ``track`` false the entries are the bare vectors, which is all
+    rank needs.
     Shared by rank and solve.
     """
-    basis: dict[int, tuple[int, int]] = {}
+    shift = len(rows) if track else 0
+    basis: dict[int, int] = {}
     kernel: list[int] = []
     for i, row in enumerate(rows):
-        vec, coeff = row, 1 << i
-        while vec:
-            lead = vec.bit_length() - 1
+        acc = (row << shift) | ((1 << i) if track else 0)
+        while (lead := acc.bit_length()) > shift:
             hit = basis.get(lead)
             if hit is None:
-                basis[lead] = (vec, coeff)
+                basis[lead] = acc
                 break
-            vec ^= hit[0]
-            coeff ^= hit[1]
+            acc ^= hit
         else:
-            kernel.append(coeff)
+            kernel.append(acc)
     return basis, kernel
 
 
@@ -264,7 +265,7 @@ class BinaryMatrix:
         return out
 
     def rank(self) -> int:
-        return len(_row_basis(self._rows)[0])
+        return len(_row_basis(self._rows, track=False)[0])
 
     def mask_columns(self, mask: int) -> "BinaryMatrix":
         """Same shape, with the columns whose bit in ``mask`` is 0 zeroed.
@@ -343,14 +344,14 @@ class BinaryMatrix:
         if len(y) != self._ncols:
             raise ValueError("target length must equal the column count")
         basis, kernel = _row_basis(self._rows)
-        yv, coeff = y.value, 0
-        while yv:
-            hit = basis.get(yv.bit_length() - 1)
+        shift = self.nrows
+        acc = y.value << shift
+        while (lead := acc.bit_length()) > shift:
+            hit = basis.get(lead)
             if hit is None:
                 return Solution("inconsistent")
-            yv ^= hit[0]
-            coeff ^= hit[1]
-        vector = BitWord(coeff, self.nrows)
+            acc ^= hit
+        vector = BitWord(acc, shift)
         if not kernel:
             return Solution("unique", vector=vector)
         free = tuple(BitWord(c, self.nrows) for c in kernel)

@@ -70,6 +70,17 @@ def is_constrained(word: BitWord, spec: RllSpec) -> bool:
 _COUNTS: dict[int, list[int]] = {}  # d -> counts by length, grown on demand
 
 
+def _count_list(n: int, d: int) -> list[int]:
+    """The shared list of counts for gap d, grown to cover lengths 0..n."""
+    a = _COUNTS.get(d)
+    if a is None:
+        a = _COUNTS[d] = [1]
+    while len(a) <= n:
+        k = len(a)
+        a.append(k + 1 if k <= d else a[k - 1] + a[k - d - 1])
+    return a
+
+
 def count_constrained(n: int, spec: RllSpec) -> int:
     """Number of length-n words satisfying the gap constraint.
 
@@ -78,14 +89,7 @@ def count_constrained(n: int, spec: RllSpec) -> int:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    d = spec.d
-    a = _COUNTS.get(d)
-    if a is None:
-        a = _COUNTS[d] = [1]
-    while len(a) <= n:
-        k = len(a)
-        a.append(k + 1 if k <= d else a[k - 1] + a[k - d - 1])
-    return a[n]
+    return _count_list(n, spec.d)[n]
 
 
 def _bisect(below, lo: float, hi: float, tol: float) -> float:
@@ -126,6 +130,7 @@ def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:
     total = count_constrained(n, spec)
     if not 0 <= index < total:
         raise ValueError(f"index must be in [0, {total})")
+    counts = _count_list(n, spec.d)
     v = 0
     forced = 0
     rem = index
@@ -133,7 +138,7 @@ def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:
         if forced:
             forced -= 1
             continue
-        zeros_first = count_constrained(n - pos - 1, spec)
+        zeros_first = counts[n - pos - 1]
         if rem < zeros_first:
             continue
         rem -= zeros_first
@@ -143,20 +148,16 @@ def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:
 
 
 def enumerative_decode(word: BitWord, spec: RllSpec) -> int:
-    """Lexicographic rank of a constrained word (inverse of encoding)."""
+    """Lexicographic rank of a constrained word (inverse of encoding).
+
+    Each 1 at position pos adds the count of the words that have a 0
+    there and agree before it, a(n - pos - 1).
+    """
     if not is_constrained(word, spec):
         raise ValueError("word violates the gap constraint")
     n = len(word)
-    idx = 0
-    forced = 0
-    for pos in range(n):
-        if forced:
-            forced -= 1
-            continue
-        if word[pos]:
-            idx += count_constrained(n - pos - 1, spec)
-            forced = spec.d
-    return idx
+    counts = _count_list(n, spec.d)
+    return sum(counts[n - pos - 1] for pos in word.support())
 
 
 def payload_bits(n: int, spec: RllSpec) -> int:

@@ -1,9 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from rmrll.channels import BEC, BSC, ERASED
+from rmrll.channels import BEC, BSC, ERASED, estimate_block_error
 from rmrll.coset import (
     BSC_MAX_PAYLOAD_BITS,
     DecodeResult,
@@ -298,6 +301,12 @@ class TestDecodeBec:
         assert res.stage == "outer"
 
     def test_matches_gather_reference(self):
+        def check(plan, tx, flips=(), erasures=()):
+            obs = observe(tx.transmitted, flips=flips, erasures=erasures)
+            got = decode(obs[: plan.k], obs[plan.k :], plan, BEC(0.3))
+            assert got == gather_decode_bec(obs[: plan.k], obs[plan.k :], plan)
+            return got.status
+
         plans = [
             small_plan(),
             build_plan(5, 2, RllSpec(1), 2, 2),
@@ -312,11 +321,60 @@ class TestDecodeBec:
                 n = plan.total_length
                 erasures = np.flatnonzero(rng.random(n) < rng.choice([0.05, 0.3, 0.6]))
                 flips = np.flatnonzero(rng.random(n) < 0.02) if trial % 3 == 0 else ()
-                obs = observe(tx.transmitted, flips=flips, erasures=erasures)
-                got = decode(obs[: plan.k], obs[plan.k :], plan, BEC(0.3))
-                assert got == gather_decode_bec(obs[: plan.k], obs[plan.k :], plan)
-                statuses.add(got.status)
+                statuses.add(check(plan, tx, flips, erasures))
         assert statuses == {"message", "ambiguous", "failure"}
+
+        # k = 163 > n - k = 93, so rank(P_E) < |E| once more than 93
+        # prefix bits are erased.  The 16 points with x5..x8 = 0 all have
+        # weight <= 4, so they sit in the prefix, and their indicator is
+        # an RM(8, 4) codeword with a zero tail: erasing them leaves P_E
+        # rank-deficient with only 16 erasures.
+        plan = build_plan(8, 4, RllSpec(1), 3)
+        assert plan.k > plan.outer_length - plan.k
+        k, n = plan.k, plan.total_length
+        flat = [j for j in range(k) if plan.permutation.perm[j] < 16]
+        messages = random.Random(2025)
+        statuses = set()
+        for trial in range(8):
+            tx = encode(messages.getrandbits(plan.payload_bits), plan)
+            light = np.flatnonzero(rng.random(n) < 0.03)
+            heavy = np.flatnonzero(rng.random(k) < 0.6)
+            flips = rng.choice(k, size=3, replace=False)
+            got = [
+                check(plan, tx),  # nothing erased
+                check(plan, tx, erasures=light),
+                check(plan, tx, erasures=np.union1d(flat, light)),
+                check(plan, tx, erasures=heavy),
+                check(plan, tx, erasures=range(k)),  # the whole prefix
+                check(plan, tx, flips=flips, erasures=light),
+            ]
+            assert got[0] == "message" and set(got[2:5]) == {"ambiguous"}
+            statuses.update(got)
+        assert statuses == {"message", "ambiguous", "failure"}
+
+    def test_no_wrong_message_at_large_m(self):
+        # erasures alone never turn into a wrong message, whatever the
+        # rate; the rates are chosen so that decodes also fail or stay
+        # ambiguous
+        for plan in (build_plan(8, 4, RllSpec(1), 3), build_plan(10, 5, RllSpec(1), 4)):
+
+            def dec(obs, plan=plan):
+                result = decode(obs[: plan.k], obs[plan.k :], plan, BEC(0.1))
+                return result.message if result.is_message else None
+
+            errors = 0
+            for eps in (0.05, 0.3, 0.5):
+                est = estimate_block_error(
+                    lambda i, plan=plan: encode(i, plan).transmitted,
+                    dec,
+                    1 << plan.payload_bits,
+                    BEC(eps),
+                    12,
+                    plan.m,
+                )
+                assert est.wrong_messages == 0
+                errors += est.errors
+            assert 0 < errors < 36
 
     def test_shape_validation(self):
         plan = small_plan()
@@ -333,6 +391,37 @@ class TestDecodeBec:
         obs = observe(tx.transmitted)
         with pytest.raises(TypeError):
             decode(obs[: plan.k], obs[plan.k :], plan, "awgn")
+
+
+@st.composite
+def feasible_plans(draw):
+    """A plan with m <= 6 and d in {1, 2, 3}; configurations that
+    build_plan rejects are redrawn."""
+    spec = RllSpec(draw(st.sampled_from((1, 2, 3))))
+    m = draw(st.integers(1, 6))
+    r = draw(st.integers(0, m))
+    part_exponent = draw(st.integers(1, m))
+    n_inner = m - part_exponent + spec.anchor_count
+    inner_order = draw(st.none() | st.integers(spec.anchor_count, n_inner))
+    try:
+        return build_plan(m, r, spec, part_exponent, inner_order)
+    except ValueError:
+        reject()
+
+
+class TestNoiselessRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(feasible_plans(), st.data())
+    def test_both_channels_return_the_message(self, plan, data):
+        message = data.draw(st.integers(0, (1 << plan.payload_bits) - 1))
+        obs = observe(encode(message, plan).transmitted)
+        want = DecodeResult("message", message=message)
+        assert decode(obs[: plan.k], obs[plan.k :], plan, BEC(0.0)) == want
+        try:
+            check_bsc_limits(plan)
+        except ValueError:
+            return  # the flip-channel decoder refuses the plan
+        assert decode(obs[: plan.k], obs[plan.k :], plan, BSC(0.0)) == want
 
 
 class TestDecodeBsc:

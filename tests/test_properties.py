@@ -123,6 +123,7 @@ class TestLinearSolve:
         y = BitWord(data.draw(st.integers(0, (1 << mat.ncols) - 1)), mat.ncols)
         rank = numpy_rank(mat.to_array())
         stacked = numpy_rank(np.vstack([mat.to_array(), y.to_array()]))
+        assert mat.rank() == rank
         sol = mat.solve_right(y)
         if stacked > rank:
             assert sol.status == "inconsistent"
