@@ -6,6 +6,12 @@ symbol).  Arbitrary-precision integers give word-parallel XOR row
 operations for free, so elimination over a few thousand columns stays
 fast without any third-party dependency.  All objects are immutable
 after construction.
+
+Elimination pivots on each row's lowest set bit, its first column.  The
+lowest set bit of a monomial x_S's evaluation is the point whose support
+is S, so every row of a Reed-Muller generator, restricted to the points
+of weight at most r or permuted by point weight, brings its own pivot
+and enters the basis with no XOR.
 """
 
 from __future__ import annotations
@@ -147,7 +153,10 @@ class Solution:
     rank-deficient).  An underdetermined solution carries a particular
     ``vector`` and a ``kernel`` basis of the u with u * M = 0, in
     ascending order of highest bit; the solutions are ``vector`` plus
-    every combination of the kernel.
+    every combination of the kernel.  Kernel vector j has the bit of
+    the j-th row that reduces to zero as its highest bit, whatever the
+    pivot order; the particular ``vector`` follows from the lowest-bit
+    pivots and is not otherwise fixed.
     """
 
     status: str
@@ -164,32 +173,36 @@ class Solution:
         return len(self.kernel)
 
 
-def _row_basis(rows: tuple[int, ...], track: bool = True) -> tuple[dict[int, int], list[int]]:
+def _row_basis(
+    rows: tuple[int, ...], ncols: int, track: bool = True
+) -> tuple[dict[int, int], list[int]]:
     """Triangular basis of the row space, and the coefficient vectors of
     the rows that reduce to zero.
 
-    Each basis entry packs ``vector << nrows | coefficients``, where
+    Each basis entry is keyed by its pivot, the lowest set bit of its
+    vector (as ``bit_length`` of that bit, so column c has key c + 1), and
+    packs ``coefficients << ncols | vector``, where
     ``vector = coefficients * M`` with coefficient bit i selecting row i,
-    and is keyed by its bit length, so one XOR updates both halves.  The
-    zero-reducing coefficients, in row order, form a basis of the left
-    kernel: nrows - rank vectors, row i's with bit i as its highest bit.
-    With ``track`` false the entries are the bare vectors, which is all
-    rank needs.
-    Shared by rank and solve.
+    so one XOR updates both halves.  A row whose pivot is free enters as
+    it is: for Reed-Muller generators that is every row (see the module
+    docstring).  The zero-reducing coefficients, in row order, form a
+    basis of the left kernel: nrows - rank vectors, row i's with bit i as
+    its highest bit.  With ``track`` false the entries are the bare rows,
+    which is all rank and rref need.
+    Shared by rank, solve and rref.
     """
-    shift = len(rows) if track else 0
     basis: dict[int, int] = {}
     kernel: list[int] = []
     for i, row in enumerate(rows):
-        acc = (row << shift) | ((1 << i) if track else 0)
-        while (lead := acc.bit_length()) > shift:
+        acc = row | (1 << (ncols + i)) if track else row
+        while 0 < (lead := (acc & -acc).bit_length()) <= ncols:
             hit = basis.get(lead)
             if hit is None:
                 basis[lead] = acc
                 break
             acc ^= hit
         else:
-            kernel.append(acc)
+            kernel.append(acc >> ncols)
     return basis, kernel
 
 
@@ -209,6 +222,15 @@ class BinaryMatrix:
             packed.append(v)
         self._rows = tuple(packed)
         self._ncols = ncols
+
+    @classmethod
+    def _trusted(cls, rows: Iterable[int], ncols: int) -> "BinaryMatrix":
+        """A matrix on int rows known to fit in ``ncols`` bits, unchecked:
+        for rows derived from an already valid matrix."""
+        mat = object.__new__(cls)
+        mat._rows = tuple(rows)
+        mat._ncols = ncols
+        return mat
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> "BinaryMatrix":
@@ -265,7 +287,7 @@ class BinaryMatrix:
         return out
 
     def rank(self) -> int:
-        return len(_row_basis(self._rows, track=False)[0])
+        return len(_row_basis(self._rows, self._ncols, track=False)[0])
 
     def mask_columns(self, mask: int) -> "BinaryMatrix":
         """Same shape, with the columns whose bit in ``mask`` is 0 zeroed.
@@ -273,7 +295,7 @@ class BinaryMatrix:
         Rank, and solutions of u * M = y for y zero off the mask, are those
         of the submatrix on the kept columns, without a per-bit gather.
         """
-        return BinaryMatrix([r & mask for r in self._rows], self._ncols)
+        return BinaryMatrix._trusted([r & mask for r in self._rows], self._ncols)
 
     def rank_of_columns(self, cols: Iterable[int]) -> int:
         """Rank of the submatrix on ``cols`` without extracting it."""
@@ -288,25 +310,26 @@ class BinaryMatrix:
         """Reduced row-echelon form and its pivot columns.
 
         Pivot columns are strictly increasing and each contains a single 1.
-        The row space is preserved.
+        The row space is preserved.  The rank basis already has one row
+        per pivot, each zero left of its pivot (the pivot is its lowest
+        bit); back-substitution from the last pivot clears the other
+        pivot columns, and the zero rows follow.
         """
-        rows = list(self._rows)
-        pivots = []
-        pr = 0
-        for c in range(self._ncols):
-            mask = 1 << c
-            j = next((i for i in range(pr, len(rows)) if rows[i] & mask), -1)
-            if j < 0:
-                continue
-            rows[pr], rows[j] = rows[j], rows[pr]
-            for i in range(len(rows)):
-                if i != pr and rows[i] & mask:
-                    rows[i] ^= rows[pr]
-            pivots.append(c)
-            pr += 1
-            if pr == len(rows):
-                break
-        return BinaryMatrix(rows, self._ncols), tuple(pivots)
+        basis, _ = _row_basis(self._rows, self._ncols, track=False)
+        leads = sorted(basis)
+        done: dict[int, int] = {}
+        cleared = 0  # columns of the pivots reduced so far
+        for lead in reversed(leads):
+            row = basis.pop(lead)
+            hits = row & cleared
+            while hits:
+                low = hits & -hits
+                row ^= done[low.bit_length()]
+                hits ^= low
+            done[lead] = row
+            cleared |= 1 << (lead - 1)
+        rows = [done[lead] for lead in leads] + [0] * (self.nrows - len(leads))
+        return BinaryMatrix._trusted(rows, self._ncols), tuple(lead - 1 for lead in leads)
 
     def column_submatrix(self, cols: Iterable[int]) -> "BinaryMatrix":
         """Gather columns: output column j is column ``cols[j]``.
@@ -317,16 +340,22 @@ class BinaryMatrix:
         sel = [int(c) for c in cols]
         if not all(0 <= c < self._ncols for c in sel):
             raise ValueError("column index out of range")
+        take = np.array(sel, dtype=np.intp)
+        width = (self._ncols + 7) // 8
         out = []
-        for r in self._rows:
-            bits = format(r, f"0{self._ncols}b")[::-1]  # bits[c] is column c
-            out.append(int("".join([bits[c] for c in sel])[::-1] or "0", 2))
-        return BinaryMatrix(out, len(sel))
+        for start in range(0, self.nrows, 64):  # bounds the unpacked bytes
+            chunk = self._rows[start : start + 64]
+            raw = b"".join(r.to_bytes(width, "little") for r in chunk)
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), width)
+            bits = np.unpackbits(packed, axis=1, bitorder="little")
+            picked = np.packbits(bits.take(take, axis=1), axis=1, bitorder="little")
+            out.extend(int.from_bytes(p.tobytes(), "little") for p in picked)
+        return BinaryMatrix._trusted(out, len(sel))
 
     def stack(self, other: "BinaryMatrix") -> "BinaryMatrix":
         if self._ncols != other._ncols:
             raise ValueError("column count mismatch")
-        return BinaryMatrix(self._rows + other._rows, self._ncols)
+        return BinaryMatrix._trusted(self._rows + other._rows, self._ncols)
 
     def vecmat(self, u: BitWord) -> BitWord:
         """Row combination u * M."""
@@ -343,15 +372,15 @@ class BinaryMatrix:
         """Solve u * M = y for the row-combination vector u."""
         if len(y) != self._ncols:
             raise ValueError("target length must equal the column count")
-        basis, kernel = _row_basis(self._rows)
-        shift = self.nrows
-        acc = y.value << shift
-        while (lead := acc.bit_length()) > shift:
+        ncols = self._ncols
+        basis, kernel = _row_basis(self._rows, ncols)
+        acc = y.value
+        while 0 < (lead := (acc & -acc).bit_length()) <= ncols:
             hit = basis.get(lead)
             if hit is None:
                 return Solution("inconsistent")
             acc ^= hit
-        vector = BitWord(acc, shift)
+        vector = BitWord(acc >> ncols, self.nrows)
         if not kernel:
             return Solution("unique", vector=vector)
         free = tuple(BitWord(c, self.nrows) for c in kernel)

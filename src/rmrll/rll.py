@@ -161,5 +161,16 @@ def enumerative_decode(word: BitWord, spec: RllSpec) -> int:
 
 
 def payload_bits(n: int, spec: RllSpec) -> int:
-    """floor(log2) of the constrained-word count: whole input bits per block."""
-    return count_constrained(n, spec).bit_length() - 1
+    """floor(log2) of the constrained-word count: whole input bits per block.
+
+    Counts with the recurrence of ``count_constrained`` over a rolling
+    window of d + 1 values, so memory is O(n) bits and the shared count
+    table is left as it is.
+    """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    d = spec.d
+    window = list(range(1, d + 2))  # a(j) = j + 1 for j <= d, at index j mod (d + 1)
+    for j in range(d + 1, n + 1):
+        window[j % (d + 1)] += window[(j - 1) % (d + 1)]
+    return window[n % (d + 1)].bit_length() - 1

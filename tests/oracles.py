@@ -52,6 +52,46 @@ def numpy_rref(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return a, tuple(pivots)
 
 
+def column_scan_rref(rows, ncols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced row echelon form of packed rows (bit c is column c) and its
+    pivot columns, by scanning the columns left to right: swap a row with
+    a 1 in the column up to the pivot row and clear the column in every
+    other row.  Kept as the reference for BinaryMatrix.rref."""
+    rows = list(rows)
+    pivots = []
+    pr = 0
+    for c in range(ncols):
+        mask = 1 << c
+        j = next((i for i in range(pr, len(rows)) if rows[i] & mask), -1)
+        if j < 0:
+            continue
+        rows[pr], rows[j] = rows[j], rows[pr]
+        for i in range(len(rows)):
+            if i != pr and rows[i] & mask:
+                rows[i] ^= rows[pr]
+        pivots.append(c)
+        pr += 1
+        if pr == len(rows):
+            break
+    return tuple(rows), tuple(pivots)
+
+
+def per_bit_gather(rows, cols) -> tuple[int, ...]:
+    """Packed rows whose bit j is bit ``cols[j]`` of the input row, read
+    one bit at a time from each row's binary string."""
+    width = max(cols, default=-1) + 1
+    out = []
+    for r in rows:
+        bits = format(r, f"0{width}b")[::-1]  # bits[c] is bit c
+        out.append(int("".join(bits[c] for c in cols)[::-1] or "0", 2))
+    return tuple(out)
+
+
+def weight_order(m: int) -> list[int]:
+    """Points of [0, 2**m) by ascending weight, then index."""
+    return sorted(range(1 << m), key=lambda i: (i.bit_count(), i))
+
+
 def gap_ok(bits, d: int) -> bool:
     """Direct definition: every pair of successive 1s has >= d zeros between."""
     ones = [i for i, b in enumerate(bits) if b]

@@ -26,7 +26,9 @@ from rmrll.rll import (
     is_constrained,
     noiseless_capacity,
 )
-from rmrll.rm import select_order
+from rmrll.rm import RmCode, select_order
+
+from oracles import column_scan_rref, per_bit_gather, weight_order
 
 
 def observe(word, flips=(), erasures=()):
@@ -161,6 +163,17 @@ class TestBuildPlan:
         assert {perm[j] for j in range(plan.k)} == {
             i for i in range(16) if i.bit_count() <= 1
         }
+
+    def test_outer_generator_matches_column_scan_rref(self):
+        for m in range(1, 11):
+            for r in range(m):
+                gathered = per_bit_gather(RmCode(m, r).gen.row_values, weight_order(m))
+                want, want_pivots = column_scan_rref(gathered, 1 << m)
+                for d in (1, 2):
+                    z = RllSpec(d).anchor_count
+                    plan = build_plan(m, r, RllSpec(d), max(1, m - 3), inner_order=z)
+                    assert want_pivots == tuple(range(plan.k))
+                    assert plan.outer_gen.row_values == want
 
     def test_infeasible_plans_rejected(self):
         with pytest.raises(ValueError):

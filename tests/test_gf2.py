@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rmrll.gf2 import BinaryMatrix, BitWord
+from rmrll.rm import RmCode
 
-from oracles import numpy_rank, numpy_rref
+from oracles import column_scan_rref, numpy_rank, numpy_rref, per_bit_gather, weight_order
 
 
 def random_matrix(rng, nrows, ncols):
@@ -97,6 +98,39 @@ class TestBinaryMatrix:
             cols = [int(c) for c in rng.choice(12, size=int(rng.integers(1, 12)), replace=False)]
             assert mat.rank_of_columns(cols) == mat.column_submatrix(cols).rank()
             assert mat.rank_of_columns(cols) == numpy_rank(arr[:, sorted(cols)])
+
+    def test_column_submatrix_matches_per_bit_gather(self):
+        rng = np.random.default_rng(18)
+        mat, _ = random_matrix(rng, 150, 200)  # more than one 64-row chunk
+        selections = [
+            [int(c) for c in rng.integers(0, 200, size=300)],  # with repeats
+            list(range(199, -1, -1)),
+            [7, 7, 7, 0, 199],
+            [],
+        ]
+        for cols in selections:
+            sub = mat.column_submatrix(cols)
+            assert sub.ncols == len(cols) and sub.nrows == mat.nrows
+            assert sub.row_values == per_bit_gather(mat.row_values, cols)
+        empty = BinaryMatrix([], 100).column_submatrix([3, 3, 99])
+        assert empty.nrows == 0 and empty.ncols == 3
+        assert BinaryMatrix([0, 0], 0).column_submatrix([]).row_values == (0, 0)
+        with pytest.raises(ValueError):
+            mat.column_submatrix([-1])
+
+    def test_rref_matches_column_scan_on_rm_generators(self):
+        # weight-permuted and information-set-restricted RM(m, r)
+        # generators: every row brings its own lowest-bit pivot
+        for m in range(1, 10):
+            perm = weight_order(m)
+            for r in range(m + 1):
+                gen = RmCode(m, r).gen
+                info = sum(1 << i for i in range(1 << m) if i.bit_count() <= r)
+                for mat in (gen.column_submatrix(perm), gen.mask_columns(info)):
+                    reduced, pivots = mat.rref()
+                    want, want_pivots = column_scan_rref(mat.row_values, mat.ncols)
+                    assert pivots == want_pivots and len(pivots) == gen.nrows
+                    assert reduced.row_values == want
 
     def test_column_submatrix_order(self):
         mat = BinaryMatrix.from_strings(["1010", "0110"])

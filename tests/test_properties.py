@@ -4,11 +4,14 @@ Monomial evaluations are checked against the pointwise oracle in
 oracles.py, and every generator that is built from monomials (RM codes,
 complement bases, anchored subcodes) against ``eval_monomial`` of the
 monomials it is defined by.  Linear solving and row reduction are
-checked against the numpy rank and RREF oracles.  Example counts are
+checked against the numpy rank and RREF oracles, on small square-ish
+matrices and on wide ones of up to 40 x 200.  Example counts are
 bounded so the suite stays fast.
 """
 
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 from hypothesis import given, settings
@@ -35,6 +38,19 @@ def matrices(draw):
     full = (1 << ncols) - 1
     row = st.one_of(st.integers(0, full), st.sampled_from([0, 1 << (ncols - 1), full]))
     return BinaryMatrix(draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
+
+
+@st.composite
+def wide_matrices(draw):
+    """A random BinaryMatrix of up to 40x200, wider than one machine word;
+    rows are often XORs of a few drawn rows, so rank deficiency and pivot
+    collisions are common."""
+    nrows = draw(st.integers(0, 40))
+    ncols = draw(st.integers(1, 200))
+    word = st.integers(0, (1 << ncols) - 1)
+    base = draw(st.lists(word, min_size=1, max_size=6))
+    mixed = st.sets(st.sampled_from(base)).map(lambda picks: reduce(xor, picks, 0))
+    return BinaryMatrix(draw(st.lists(st.one_of(word, mixed), min_size=nrows, max_size=nrows)), ncols)
 
 
 def degree_lex(variables, degrees):
@@ -116,22 +132,55 @@ class TestEnumerativeBijection:
         assert enumerative_encode(index, n, spec) == word
 
 
+def check_solve_status(mat, data):
+    """rank() and the solve status against the numpy rank oracle; any
+    consistent solve returns a vector that solves it."""
+    y = BitWord(data.draw(st.integers(0, (1 << mat.ncols) - 1)), mat.ncols)
+    if data.draw(st.booleans()):  # a consistent target half the time
+        u = data.draw(st.integers(0, (1 << mat.nrows) - 1))
+        y = mat.vecmat(BitWord(u, mat.nrows))
+    rank = numpy_rank(mat.to_array())
+    stacked = numpy_rank(np.vstack([mat.to_array(), y.to_array()]))
+    assert mat.rank() == rank
+    sol = mat.solve_right(y)
+    if stacked > rank:
+        assert sol.status == "inconsistent"
+        assert sol.vector is None and sol.kernel == ()
+        return
+    assert sol.status == ("unique" if rank == mat.nrows else "underdetermined")
+    assert mat.vecmat(sol.vector) == y
+    assert sol.free_count == mat.nrows - rank
+
+
+def check_kernel(mat):
+    """The kernel basis: nrows - rank independent vectors with u * M = 0,
+    the j-th with the j-th dependent row's bit as its highest bit.  The
+    flip-channel decoder's prune relies on that order."""
+    arr = mat.to_array()
+    rank = numpy_rank(arr)
+    kernel = mat.solve_right(BitWord(0, mat.ncols)).kernel
+    assert len(kernel) == mat.nrows - rank
+    zero = BitWord(0, mat.ncols)
+    assert all(len(v) == mat.nrows and mat.vecmat(v) == zero for v in kernel)
+    if kernel:
+        rows = np.array([v.to_array() for v in kernel])
+        assert numpy_rank(rows) == len(kernel)
+    dependent = [i for i in range(mat.nrows) if numpy_rank(arr[: i + 1]) == numpy_rank(arr[:i])]
+    assert [v.value.bit_length() - 1 for v in kernel] == dependent
+
+
+def check_rref(mat):
+    reduced, pivots = mat.rref()
+    want, want_pivots = numpy_rref(mat.to_array())
+    assert pivots == want_pivots
+    assert np.array_equal(reduced.to_array(), want)
+
+
 class TestLinearSolve:
     @bounded
     @given(matrices(), st.data())
     def test_status_matches_oracle_ranks(self, mat, data):
-        y = BitWord(data.draw(st.integers(0, (1 << mat.ncols) - 1)), mat.ncols)
-        rank = numpy_rank(mat.to_array())
-        stacked = numpy_rank(np.vstack([mat.to_array(), y.to_array()]))
-        assert mat.rank() == rank
-        sol = mat.solve_right(y)
-        if stacked > rank:
-            assert sol.status == "inconsistent"
-            assert sol.vector is None and sol.kernel == ()
-            return
-        assert sol.status == ("unique" if rank == mat.nrows else "underdetermined")
-        assert mat.vecmat(sol.vector) == y
-        assert sol.free_count == mat.nrows - rank
+        check_solve_status(mat, data)
 
     @bounded
     @given(matrices(), st.data())
@@ -147,20 +196,26 @@ class TestLinearSolve:
     @bounded
     @given(matrices())
     def test_kernel_basis(self, mat):
-        rank = numpy_rank(mat.to_array())
-        sol = mat.solve_right(BitWord(0, mat.ncols))
-        kernel = sol.kernel
-        assert len(kernel) == mat.nrows - rank
-        zero = BitWord(0, mat.ncols)
-        assert all(len(v) == mat.nrows and mat.vecmat(v) == zero for v in kernel)
-        if kernel:
-            rows = np.array([v.to_array() for v in kernel])
-            assert numpy_rank(rows) == len(kernel)
+        check_kernel(mat)
 
     @bounded
     @given(matrices())
     def test_rref_matches_oracle(self, mat):
-        reduced, pivots = mat.rref()
-        want, want_pivots = numpy_rref(mat.to_array())
-        assert pivots == want_pivots
-        assert np.array_equal(reduced.to_array(), want)
+        check_rref(mat)
+
+
+class TestWideMatrices:
+    @bounded
+    @given(wide_matrices(), st.data())
+    def test_status_matches_oracle_ranks(self, mat, data):
+        check_solve_status(mat, data)
+
+    @bounded
+    @given(wide_matrices())
+    def test_kernel_basis(self, mat):
+        check_kernel(mat)
+
+    @bounded
+    @given(wide_matrices())
+    def test_rref_matches_oracle(self, mat):
+        check_rref(mat)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rmrll import rll
 from rmrll.gf2 import BitWord
 from rmrll.rll import (
     RllSpec,
@@ -80,6 +81,21 @@ class TestCounts:
             p = payload_bits(n, RllSpec(2))
             a = count_constrained(n, RllSpec(2))
             assert (1 << p) <= a < (1 << (p + 1))
+        with pytest.raises(ValueError):
+            payload_bits(-1, RllSpec(1))
+
+    def test_payload_bits_matches_count_table(self):
+        lengths = sorted(set(range(101)) | set(range(101, 3001, 37)) | {3000})
+        for d in range(6):
+            spec = RllSpec(d)
+            for n in lengths:
+                assert payload_bits(n, spec) == count_constrained(n, spec).bit_length() - 1
+
+    def test_payload_bits_leaves_count_table(self):
+        before = {d: len(a) for d, a in rll._COUNTS.items()}
+        for d in (*range(6), 9):
+            payload_bits(4000, RllSpec(d))
+        assert {d: len(a) for d, a in rll._COUNTS.items()} == before
 
 
 class TestCapacity:
