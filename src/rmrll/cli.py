@@ -88,7 +88,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return out
 

@@ -28,7 +28,6 @@ from .rll import (
     _bisect,
     enumerative_decode,
     enumerative_encode,
-    is_constrained,
     is_constrained_value,
     noiseless_capacity,
     payload_bits,
@@ -223,12 +222,6 @@ class DecodeResult:
         return self.status == "message"
 
 
-def _packed(bits: np.ndarray) -> int:
-    """Packed integer of a boolean array, element 0 in bit 0."""
-    raw = np.packbits(bits, bitorder="little")
-    return int.from_bytes(raw.tobytes(), "little")
-
-
 def _solve_outer(plan: CosetPlan, known: int, values: int, tail: int) -> Solution:
     """Solve [I | P] for the prefixes w that carry ``values`` (zero off
     ``known``) on the prefix bits set in ``known`` and have codeword
@@ -262,35 +255,6 @@ def _solve_outer(plan: CosetPlan, known: int, values: int, tail: int) -> Solutio
     )
 
 
-def _decode_bec(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
-    dim = plan.inner.k
-    npart = plan.part_length
-    tail_val = 0
-    for i in range(plan.part_count):
-        obs = parts_obs[i * npart : (i + 1) * npart]
-        system = plan.inner.gen.mask_columns(_packed(obs != ERASED))
-        sol = system.solve_right(BitWord(_packed(obs == 1), npart))
-        if sol.status == "underdetermined":
-            return DecodeResult("ambiguous")
-        if sol.status == "inconsistent":
-            return DecodeResult("failure", stage=f"part:{i}")
-        tail_val |= sol.vector.value << (i * dim)
-    tail = (tail_val << plan.k) & plan.tail_mask  # padding carries no information
-
-    sol = _solve_outer(plan, _packed(prefix_obs != ERASED), _packed(prefix_obs == 1), tail)
-    if sol.status == "underdetermined":
-        return DecodeResult("ambiguous")
-    if sol.status == "inconsistent":
-        return DecodeResult("failure", stage="outer")
-    w = sol.vector
-    if not is_constrained(w, plan.spec):
-        return DecodeResult("failure", stage="outer")
-    index = enumerative_decode(w, plan.spec)
-    if index >= 1 << plan.payload_bits:
-        return DecodeResult("failure", stage="outer")
-    return DecodeResult("message", message=index)
-
-
 def check_bsc_limits(plan: CosetPlan) -> None:
     """Raise ValueError when the plan is too large for flip-channel decoding."""
     coset_dim = plan.k - plan.tail_rank
@@ -302,48 +266,6 @@ def check_bsc_limits(plan: CosetPlan) -> None:
         )
 
 
-def _decode_bsc(prefix_obs: np.ndarray, parts_obs: np.ndarray, plan: CosetPlan):
-    check_bsc_limits(plan)
-    dim = plan.inner.k
-    npart = plan.part_length
-    codebook = plan.inner_codebook
-    tail_val = 0
-    for i in range(plan.part_count):
-        yv = _packed(parts_obs[i * npart : (i + 1) * npart] == 1)
-        best_u = min(range(1 << dim), key=lambda u: (codebook[u] ^ yv).bit_count())
-        tail_val |= best_u << (i * dim)
-    k = plan.k
-    tail = (tail_val << k) & plan.tail_mask  # padding carries no information
-
-    # the prefixes with this tail: a particular solution of w P = tail
-    # plus every combination of a kernel basis of P
-    sol = _solve_outer(plan, 0, 0, tail)
-    if sol.status == "inconsistent":
-        return DecodeResult("failure", stage="outer")
-    d = plan.spec.d
-    words = [sol.vector.value]
-    for basis_vec in reversed(sol.kernel):  # descending highest bit
-        # the bits above this vector's highest bit are final in every word
-        # from here on, so a word that breaks the gap there is dropped now
-        v = basis_vec.value
-        words = [w for w in words if is_constrained_value(w >> v.bit_length(), d)]
-        words += [w ^ v for w in words]
-    yv1 = _packed(prefix_obs == 1)
-    best = None
-    for wv in words:
-        if not is_constrained_value(wv, d):
-            continue
-        index = enumerative_decode(BitWord(wv, k), plan.spec)
-        if index >= 1 << plan.payload_bits:
-            continue
-        key = ((wv ^ yv1).bit_count(), index)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return DecodeResult("failure", stage="outer")
-    return DecodeResult("message", message=best[1])
-
-
 def decode(
     prefix_obs: np.ndarray,
     parts_obs: np.ndarray,
@@ -352,17 +274,21 @@ def decode(
 ) -> DecodeResult:
     """Two-stage decode of the prefix/parts observations.
 
-    Both channels share one outer step on the systematic generator
-    [I | P]: with the tail recovered from the parts, the prefix bits
-    not known exactly are solved from w P = tail.  Erasure channels
-    solve each part exactly, then only the erased prefix bits, whose
-    rows of P must give the tail minus the unerased bits' share; an
-    underdetermined system reports ambiguity, never a guess.  Flip
-    channels use exhaustive minimum-distance decoding per part, then
-    solve for all k prefix bits: among the prefixes w of that coset of
-    ker(P) that are constrained and encode a message index, the one
-    nearest the prefix observation wins (ties go to the smaller index);
-    no such prefix is a failure at "outer".
+    The observation is packed once into two ints, its 1s and its
+    unerased positions, and each part is taken from them by shift and
+    mask.  Only the part step depends on the channel: erasure channels
+    solve each part on its unerased columns (an underdetermined part is
+    ambiguous, an inconsistent one a failure at "part:<i>"); flip
+    channels take the nearest inner codeword.  Both then share one
+    outer step on the systematic generator [I | P]: with the tail
+    recovered, the prefix bits not known exactly (the erased ones, or
+    all k on a flip channel) are solved from w P = tail, and the
+    prefixes that fit form a coset of the kernel of those rows.  An
+    erasure coset with more than one member is reported as ambiguous,
+    never guessed.  Among the coset members that are constrained and
+    encode a message index, the one nearest the prefix observation wins
+    (ties go to the smaller index); no such member is a failure at
+    "outer".
     """
     prefix_obs = np.asarray(prefix_obs)
     parts_obs = np.asarray(parts_obs)
@@ -370,11 +296,67 @@ def decode(
         raise ValueError("prefix observation length mismatch")
     if parts_obs.shape != (plan.part_count * plan.part_length,):
         raise ValueError("parts observation length mismatch")
-    if isinstance(channel, BEC):
-        return _decode_bec(prefix_obs, parts_obs, plan)
-    if isinstance(channel, BSC):
-        return _decode_bsc(prefix_obs, parts_obs, plan)
-    raise TypeError(f"unsupported channel {channel!r}")
+    erasure = isinstance(channel, BEC)
+    if not erasure:
+        if not isinstance(channel, BSC):
+            raise TypeError(f"unsupported channel {channel!r}")
+        check_bsc_limits(plan)
+
+    k, dim, npart = plan.k, plan.inner.k, plan.part_length
+    obs = np.concatenate((prefix_obs, parts_obs))
+    ones = BitWord.from_array(obs == 1).value
+    # a flip channel knows no bit exactly
+    unerased = BitWord.from_array(obs != ERASED).value if erasure else 0
+    part_mask = (1 << npart) - 1
+    tail_val = 0
+    for i in range(plan.part_count):
+        shift = k + i * npart
+        y = (ones >> shift) & part_mask
+        if erasure:
+            system = plan.inner.gen.mask_columns((unerased >> shift) & part_mask)
+            sol = system.solve_right(BitWord(y, npart))
+            if sol.status == "underdetermined":
+                return DecodeResult("ambiguous")
+            if sol.status == "inconsistent":
+                return DecodeResult("failure", stage=f"part:{i}")
+            u = sol.vector.value
+        else:
+            book = plan.inner_codebook
+            u = min(range(1 << dim), key=lambda u: (book[u] ^ y).bit_count())
+        tail_val |= u << (i * dim)
+    tail = (tail_val << k) & plan.tail_mask  # padding carries no information
+
+    prefix_mask = (1 << k) - 1
+    known = unerased & prefix_mask
+    prefix_ones = ones & prefix_mask
+    sol = _solve_outer(plan, known, prefix_ones & known, tail)
+    if sol.status == "inconsistent":
+        return DecodeResult("failure", stage="outer")
+    if erasure and sol.status == "underdetermined":
+        return DecodeResult("ambiguous")
+    # the prefixes with this tail: the particular solution plus every
+    # combination of the kernel basis
+    d = plan.spec.d
+    words = [sol.vector.value]
+    for basis_vec in reversed(sol.kernel):  # descending highest bit
+        # the bits above this vector's highest bit are final in every word
+        # from here on, so a word that breaks the gap there is dropped now
+        v = basis_vec.value
+        words = [w for w in words if is_constrained_value(w >> v.bit_length(), d)]
+        words += [w ^ v for w in words]
+    best = None
+    for wv in words:
+        if not is_constrained_value(wv, d):
+            continue
+        index = enumerative_decode(BitWord(wv, k), plan.spec)
+        if index >= 1 << plan.payload_bits:
+            continue
+        key = ((wv ^ prefix_ones).bit_count(), index)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return DecodeResult("failure", stage="outer")
+    return DecodeResult("message", message=best[1])
 
 
 def coset_rate_lower_bound(

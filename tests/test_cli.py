@@ -89,6 +89,12 @@ class TestConfigFile:
         assert main(["rate-curves", "--config", str(tmp_path / "nope.cfg")]) == 2
         capsys.readouterr()
 
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"d=1\n\xff\n")
+        assert main(["rate-curves", "--config", str(cfg)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_bad_value_type_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d=one\n", encoding="utf-8")

@@ -325,6 +325,8 @@ class TestDecodeBec:
             build_plan(5, 2, RllSpec(1), 2, 2),
             build_plan(4, 2, RllSpec(2), 2, 2),
             build_plan(5, 3, RllSpec(2), 2, 3),
+            build_plan(4, 2, RllSpec(1), 4, 1),  # parts of 2 bits
+            build_plan(4, 2, RllSpec(1), 3, 2),  # parts of 4 bits
         ]
         rng = np.random.default_rng(2024)
         statuses = set()
@@ -338,10 +340,10 @@ class TestDecodeBec:
         assert statuses == {"message", "ambiguous", "failure"}
 
         # k = 163 > n - k = 93, so rank(P_E) < |E| once more than 93
-        # prefix bits are erased.  The 16 points with x5..x8 = 0 all have
-        # weight <= 4, so they sit in the prefix, and their indicator is
-        # an RM(8, 4) codeword with a zero tail: erasing them leaves P_E
-        # rank-deficient with only 16 erasures.
+        # prefix bits are erased, as ``heavy`` always does.  The 16 points
+        # with x5..x8 = 0 all have weight <= 4, so they sit in the prefix,
+        # and their indicator is an RM(8, 4) codeword with a zero tail:
+        # erasing them leaves P_E rank-deficient with only 16 erasures.
         plan = build_plan(8, 4, RllSpec(1), 3)
         assert plan.k > plan.outer_length - plan.k
         k, n = plan.k, plan.total_length
@@ -351,7 +353,7 @@ class TestDecodeBec:
         for trial in range(8):
             tx = encode(messages.getrandbits(plan.payload_bits), plan)
             light = np.flatnonzero(rng.random(n) < 0.03)
-            heavy = np.flatnonzero(rng.random(k) < 0.6)
+            heavy = rng.choice(k, size=plan.outer_length - k + 5, replace=False)
             flips = rng.choice(k, size=3, replace=False)
             got = [
                 check(plan, tx),  # nothing erased
@@ -467,7 +469,7 @@ class TestDecodeBsc:
     def test_matches_scan_reference(self):
         # k <= n - k: the tail fixes the prefix (rank P = k); k > n - k:
         # the prefixes with one tail form a coset of ker(P) of dimension
-        # k - rank P (6, 6, 20 and 14 for the last four plans)
+        # k - rank P (6, 6, 20, 14, 6 and 6 for the last six plans)
         plans = [
             small_plan(),
             build_plan(5, 2, RllSpec(1), 2, 2),
@@ -476,6 +478,8 @@ class TestDecodeBsc:
             build_plan(4, 2, RllSpec(2), 2, 2),
             build_plan(5, 3, RllSpec(2), 2, 3),
             build_plan(4, 3, RllSpec(1), 2, 2),
+            build_plan(4, 2, RllSpec(1), 4, 1),  # parts of 2 bits
+            build_plan(4, 2, RllSpec(1), 3, 2),  # parts of 4 bits
         ]
         rng = np.random.default_rng(77)
         outcomes = set()
