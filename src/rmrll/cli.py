@@ -40,11 +40,16 @@ from .ordering import (
 )
 from .rll import RllSpec, noiseless_capacity
 from .rm import RmCode, complement_basis
-from .subcodes import build_subcode, largest_linear_rll_subcode
+from .subcodes import ORACLE_MAX_DIM, build_subcode, largest_linear_rll_subcode
 
 __all__ = ["main", "lemma_checks"]
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+
+# Largest m of a command that builds RM(m, r): codes have 2**m
+# coordinates, and plan set-up and the oracle's codeword sweep grow
+# steeply with m (build_plan takes seconds at m = 14).
+MAX_M = 14
 
 
 class UsageError(Exception):
@@ -236,12 +241,14 @@ def cmd_subcode_oracle(p: dict) -> tuple[list[str], int]:
     m, r, d = p["m"], p["r"], p["d"]
     if m < 1 or not 0 <= r <= m or d < 0:
         raise UsageError("need m >= 1, 0 <= r <= m, d >= 0")
+    if m > MAX_M:
+        raise UsageError(f"m must be at most {MAX_M}")
     spec = RllSpec(d)
     if m < spec.anchor_count:
         raise UsageError(f"need m >= {spec.anchor_count} for d={d}")
     k = sum(comb(m, i) for i in range(r + 1))
-    if k > 20:
-        raise UsageError(f"oracle needs dimension <= 20, got {k}")
+    if k > ORACLE_MAX_DIM:
+        raise UsageError(f"oracle needs dimension <= {ORACLE_MAX_DIM}, got {k}")
     code = RmCode(m, r)
     prof = run_profile(code.information_set(), lexicographic_ordering(m), spec)
     bound = subcode_dimension_bound(code.k, prof.tuple_count, spec)
@@ -261,6 +268,8 @@ def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
     spec = RllSpec(p["d"]) if p["d"] >= 0 else None
     if spec is None:
         raise UsageError("d must be nonnegative")
+    if p["m"] > MAX_M:
+        raise UsageError(f"m must be at most {MAX_M}")
     try:
         plan = build_plan(p["m"], p["r"], spec, p["part_exponent"], p["inner_order"])
     except ValueError as exc:
@@ -320,8 +329,8 @@ def cmd_crossover(p: dict) -> tuple[list[str], int]:
 
 def cmd_perm_sweep(p: dict) -> tuple[list[str], int]:
     m, r, d = p["m"], p["r"], p["d"]
-    if not 1 <= m <= 14:
-        raise UsageError("m must lie in 1..14 (run profiles scan 2**m positions)")
+    if not 1 <= m <= MAX_M:
+        raise UsageError(f"m must lie in 1..{MAX_M} (run profiles scan 2**m positions)")
     if not 0 <= r <= m or d < 0:
         raise UsageError("need 0 <= r <= m and d >= 0")
     if p["samples"] < 1:
@@ -372,7 +381,7 @@ COMMANDS: dict[str, Command] = {
         cmd_subcode_oracle,
         "compare the subcode construction against the exhaustive oracle",
         (
-            Opt("m", int, required=True, help="code exponent"),
+            Opt("m", int, required=True, help=f"code exponent (at most {MAX_M})"),
             Opt("r", int, required=True, help="code order"),
             Opt("d", int, required=True, help="minimum zeros between 1s"),
         ),
@@ -381,7 +390,7 @@ COMMANDS: dict[str, Command] = {
         cmd_coset_trial,
         "Monte-Carlo block-error trial of the coset transmission scheme",
         (
-            Opt("m", int, required=True, help="outer code exponent"),
+            Opt("m", int, required=True, help=f"outer code exponent (at most {MAX_M})"),
             Opt("r", int, required=True, help="outer code order"),
             Opt("d", int, required=True, help="minimum zeros between 1s"),
             Opt("part_exponent", int, required=True, help="tail part-size exponent"),
@@ -405,7 +414,7 @@ COMMANDS: dict[str, Command] = {
         cmd_perm_sweep,
         "dimension-bound statistics over random coordinate orderings",
         (
-            Opt("m", int, required=True, help="code exponent (at most 14)"),
+            Opt("m", int, required=True, help=f"code exponent (at most {MAX_M})"),
             Opt("r", int, required=True, help="code order"),
             Opt("d", int, required=True, help="minimum zeros between 1s"),
             Opt("samples", int, required=True, help="number of sampled orderings"),

@@ -51,7 +51,7 @@ __all__ = [
 # The flip-channel decoder tries every inner message of each part and
 # every prefix in the coset {w : w P = tail}, which has 2**(k - rank P)
 # members; it stays exhaustive only up to these sizes.
-BSC_MAX_PAYLOAD_BITS = 20  # bound on k - rank(P), the coset's dimension
+BSC_MAX_COSET_DIM = 20  # bound on k - rank(P), the coset's dimension
 BSC_MAX_INNER_DIM = 16
 
 
@@ -75,10 +75,6 @@ class CosetPlan:
     inner: RllSubcode
 
     @property
-    def inner_exponent(self) -> int:
-        return self.inner.parent.m
-
-    @property
     def total_length(self) -> int:
         return self.k + self.part_count * self.part_length
 
@@ -91,11 +87,26 @@ class CosetPlan:
         """Columns k..n-1 of the systematic generator [I | P]."""
         return ((1 << (self.outer_length - self.k)) - 1) << self.k
 
-    @cached_property
+    @property
     def tail_rank(self) -> int:
         """rank(P): the prefixes sharing one tail form a coset of ker(P)
-        of dimension k - rank(P)."""
-        return self.outer_gen.mask_columns(self.tail_mask).rank()
+        of dimension k - rank(P).
+
+        rank(P) = min(k, n - k) for every RM(m, r).  The rows of P span
+        the restriction of RM(m, r) to the tail, the points of weight
+        > r, so rank(P) = k exactly when no nonzero polynomial f of
+        degree <= r vanishes there.  Take a top-degree monomial x_A of
+        f, so no other monomial of f contains A, and fix every variable
+        outside A to 1: by Mobius inversion on that subcube, f sums to
+        its x_A coefficient, 1, so f is nonzero at a subcube point,
+        whose weight is at least m - r > r when 2r < m.  When 2r >= m - 1, apply the same argument to the dual
+        RM(m, m - r - 1), fixing the outside variables to 0: no nonzero
+        dual word vanishes on the points of weight <= m - r - 1, a
+        subset of the prefix, so no dual word is supported on the tail
+        and P has full column rank n - k.  The two cases cover every r,
+        and each gives min(k, n - k).
+        """
+        return min(self.k, self.outer_length - self.k)
 
     @cached_property
     def inner_codebook(self) -> tuple[int, ...]:
@@ -172,7 +183,6 @@ class CosetTransmission:
     prefix: BitWord
     parts: tuple[BitWord, ...]
     outer_codeword: BitWord
-    message_index: int
 
     @property
     def transmitted(self) -> BitWord:
@@ -202,9 +212,7 @@ def encode(message_index: int, plan: CosetPlan) -> CosetTransmission:
     for i in range(plan.part_count):
         u = BitWord((tail_bits >> (i * dim)) & mask, dim)
         parts.append(plan.inner.encode(u))
-    return CosetTransmission(
-        prefix=w, parts=tuple(parts), outer_codeword=c, message_index=message_index
-    )
+    return CosetTransmission(prefix=w, parts=tuple(parts), outer_codeword=c)
 
 
 @dataclass(frozen=True)
@@ -258,9 +266,9 @@ def _solve_outer(plan: CosetPlan, known: int, values: int, tail: int) -> Solutio
 def check_bsc_limits(plan: CosetPlan) -> None:
     """Raise ValueError when the plan is too large for flip-channel decoding."""
     coset_dim = plan.k - plan.tail_rank
-    if coset_dim > BSC_MAX_PAYLOAD_BITS or plan.inner.k > BSC_MAX_INNER_DIM:
+    if coset_dim > BSC_MAX_COSET_DIM or plan.inner.k > BSC_MAX_INNER_DIM:
         raise ValueError(
-            f"bsc decoding is exhaustive and needs k - rank(P) <= {BSC_MAX_PAYLOAD_BITS}"
+            f"bsc decoding is exhaustive and needs k - rank(P) <= {BSC_MAX_COSET_DIM}"
             f" and inner dimension <= {BSC_MAX_INNER_DIM}"
             f" (plan has {coset_dim} and {plan.inner.k})"
         )
@@ -409,10 +417,10 @@ def crossover_capacity(
     return _bisect(lambda c: gap(c) <= 0.0, lo, hi, tol)
 
 
-def bsc_threshold(capacity_value: float, tol: float = 1e-9) -> float:
+def bsc_threshold(capacity_value: float) -> float:
     """Flip probability in [0, 1/2] whose channel capacity equals the
     given value (capacity is decreasing in p on this interval)."""
     if not 0.0 <= capacity_value <= 1.0:
         raise ValueError("capacity must lie in [0, 1]")
     target = 1.0 - capacity_value
-    return _bisect(lambda p: binary_entropy(p) < target, 0.0, 0.5, tol)
+    return _bisect(lambda p: binary_entropy(p) < target, 0.0, 0.5, 1e-9)

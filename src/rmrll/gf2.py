@@ -42,19 +42,10 @@ class BitWord:
         self._n = length
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitWord":
-        v = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            v |= b << n
-            n += 1
-        return cls(v, n)
-
-    @classmethod
     def from_string(cls, text: str) -> "BitWord":
-        return cls.from_bits(int(c) for c in text)
+        if not set(text) <= {"0", "1"}:
+            raise ValueError("bits must be 0 or 1")
+        return cls(int(text[::-1] or "0", 2), len(text))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitWord":
@@ -64,21 +55,9 @@ class BitWord:
         packed = np.packbits(arr.astype(bool), bitorder="little")
         return cls(int.from_bytes(packed.tobytes(), "little"), int(arr.size))
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitWord":
-        return cls(0, n)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitWord":
-        return cls((1 << n) - 1, n)
-
     @property
     def value(self) -> int:
         return self._v
-
-    @property
-    def weight(self) -> int:
-        return self._v.bit_count()
 
     def __len__(self) -> int:
         return self._n
@@ -101,8 +80,6 @@ class BitWord:
         if self._n != len(other):
             raise ValueError("length mismatch")
         return BitWord(self._v ^ other._v, self._n)
-
-    __add__ = __xor__  # addition over GF(2)
 
     def __eq__(self, other) -> bool:
         return (
@@ -132,9 +109,6 @@ class BitWord:
     def concat(self, other: "BitWord") -> "BitWord":
         return BitWord(self._v | (other._v << self._n), self._n + len(other))
 
-    def complement(self) -> "BitWord":
-        return BitWord(self._v ^ ((1 << self._n) - 1), self._n)
-
     def to_array(self) -> np.ndarray:
         """The word as a uint8 array, coordinate 0 first."""
         if self._n == 0:
@@ -162,15 +136,6 @@ class Solution:
     status: str
     vector: BitWord | None = None
     kernel: tuple[BitWord, ...] = ()
-
-    @property
-    def is_unique(self) -> bool:
-        return self.status == "unique"
-
-    @property
-    def free_count(self) -> int:
-        """Number of free variables, nrows - rank for a consistent system."""
-        return len(self.kernel)
 
 
 def _row_basis(
@@ -239,14 +204,6 @@ class BinaryMatrix:
         ncols = len(rows[0])
         return cls([BitWord.from_string(r) for r in rows], ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls([1 << i for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BinaryMatrix":
-        return cls([0] * nrows, ncols)
-
     @property
     def nrows(self) -> int:
         return len(self._rows)
@@ -258,14 +215,6 @@ class BinaryMatrix:
     @property
     def row_values(self) -> tuple[int, ...]:
         return self._rows
-
-    def row(self, i: int) -> BitWord:
-        return BitWord(self._rows[i], self._ncols)
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self._ncols:
-            raise IndexError("column out of range")
-        return (self._rows[i] >> j) & 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -282,8 +231,8 @@ class BinaryMatrix:
 
     def to_array(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols), dtype=np.uint8)
-        for i in range(self.nrows):
-            out[i] = self.row(i).to_array()
+        for i, row in enumerate(self._rows):
+            out[i] = BitWord(row, self._ncols).to_array()
         return out
 
     def rank(self) -> int:

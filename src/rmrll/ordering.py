@@ -53,13 +53,6 @@ class Ordering:
                 if (a ^ b).bit_count() != 1:
                     raise ValueError("gray ordering must step one bit at a time")
 
-    def inverse(self) -> tuple[int, ...]:
-        """Position of each coordinate."""
-        out = [0] * len(self.perm)
-        for pos, coord in enumerate(self.perm):
-            out[coord] = pos
-        return tuple(out)
-
 
 def lexicographic_ordering(m: int) -> Ordering:
     return Ordering(m, tuple(range(1 << m)), "lexicographic")

@@ -134,12 +134,12 @@ def _q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def select_order(m: int, rate: float, tol: float = 1e-12) -> int:
+def select_order(m: int, rate: float) -> int:
     """Order whose code keeps roughly a ``rate`` fraction of dimensions.
 
     Returns max(floor(m/2 + sqrt(m)/2 * Qinv(1 - rate)), 0) clipped to m,
     with the Gaussian inverse computed by bisection to absolute accuracy
-    ``tol``.  A tiny floor guard absorbs bisection error when the
+    1e-12.  A tiny floor guard absorbs bisection error when the
     argument lands exactly on an integer (for example rate = 1/2).
     """
     if m < 1:
@@ -147,6 +147,6 @@ def select_order(m: int, rate: float, tol: float = 1e-12) -> int:
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie strictly between 0 and 1")
     p = 1.0 - rate
-    q = _bisect(lambda x: _q_function(x) > p, -10.0, 10.0, tol)
+    q = _bisect(lambda x: _q_function(x) > p, -10.0, 10.0, 1e-12)
     v = m / 2.0 + math.sqrt(m) / 2.0 * q
     return min(max(math.floor(v + 1e-9), 0), m)

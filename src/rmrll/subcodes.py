@@ -18,6 +18,8 @@ from .ordering import lexicographic_ordering, run_profile, subcode_dimension_bou
 from .rll import RllSpec, is_constrained_value
 from .rm import RmCode, _monomial_rows, _monomials
 
+ORACLE_MAX_DIM = 20  # largest code dimension the exhaustive oracle sweeps
+
 __all__ = [
     "RllSubcode",
     "build_subcode",
@@ -71,53 +73,52 @@ def largest_linear_rll_subcode(
 ) -> tuple[int, BinaryMatrix]:
     """Exhaustive search for the largest all-constrained linear subcode.
 
-    Collects every constrained codeword, then walks the lattice of
+    Collects every nonzero constrained codeword, then walks the
     subspaces whose nonzero words are all constrained, growing one
-    generator at a time.  Visited spans are cached so each subspace is
-    expanded once, not once per basis ordering.  The run-structure
-    dimension bound caps the search depth.  Limited to code dimension
-    20 (the codeword sweep is 2**k).  With d=0 every word is
-    constrained, so the answer is the whole code and no search runs.
+    generator at a time.  Each subspace is reached once, through its
+    greedy basis: the next generator is larger than the previous ones
+    and is the least word of its coset of the current span.  A node
+    carries the later candidates x whose coset x + span is still all
+    constrained; any subspace below it lies in the span plus those
+    candidates, so a node whose span and candidates number fewer than
+    2**(best + 1) words is cut.  The run-structure dimension bound caps
+    the depth, and the search stops once a subspace reaches the cap.
+    Limited to code dimension ORACLE_MAX_DIM (the codeword sweep is
+    2**k).  With d=0 every word is constrained, so the answer is the
+    whole code and no search runs.
     """
-    if code.k > 20:
-        raise ValueError("exhaustive search supports dimension at most 20")
+    if code.k > ORACLE_MAX_DIM:
+        raise ValueError(f"exhaustive search supports dimension at most {ORACLE_MAX_DIM}")
     if spec.d == 0:
         return code.k, code.gen
     d = spec.d
     rows = code.gen.row_values
-    good = {0}
+    good = set()  # nonzero constrained codewords
     acc = 0
     for g in range(1, 1 << code.k):
         acc ^= rows[(g & -g).bit_length() - 1]
         if is_constrained_value(acc, d):
             good.add(acc)
-    cands = sorted(good - {0})
     prof = run_profile(code.information_set(), lexicographic_ordering(code.m), spec)
     depth_cap = min(
         subcode_dimension_bound(code.k, prof.tuple_count, spec),
-        len(good).bit_length() - 1,
+        (len(good) + 1).bit_length() - 1,
     )
-    best_dim = 0
-    best_basis: list[int] = []
-    seen: set[frozenset[int]] = set()
+    best: list[int] = []
 
-    def extend(basis: list[int], span: list[int]):
-        nonlocal best_dim, best_basis
-        key = frozenset(span)
-        if key in seen:
-            return
-        seen.add(key)
-        if len(basis) > best_dim:
-            best_dim = len(basis)
-            best_basis = list(basis)
-        if len(basis) >= depth_cap:
-            return
-        for w in cands:
-            if w in key:
-                continue
-            shifted = [v ^ w for v in span]
-            if all(v in good for v in shifted):
-                extend(basis + [w], span + shifted)
+    def extend(basis: list[int], span: list[int], cands: list[int]):
+        nonlocal best
+        if len(basis) > len(best):
+            best = basis
+        for i, w in enumerate(cands):
+            reach = (len(cands) - i + len(span)).bit_length() - 1
+            if min(reach, depth_cap) <= len(best):
+                return
+            if any(w ^ v < w for v in span):
+                continue  # not the least word of its coset
+            coset = [w ^ v for v in span]
+            later = [x for x in cands[i + 1 :] if all(x ^ c in good for c in coset)]
+            extend(basis + [w], span + coset, later)
 
-    extend([], [0])
-    return best_dim, BinaryMatrix(best_basis, code.n)
+    extend([], [0], sorted(good))
+    return len(best), BinaryMatrix(best, code.n)

@@ -65,7 +65,7 @@ class TestChannels:
         assert BSC(1.0).transmit(w, np.random.default_rng(1)).tolist() == [0, 1, 0, 0, 1]
 
     def test_alphabets(self):
-        w = BitWord.ones(2000)
+        w = BitWord((1 << 2000) - 1, 2000)
         rng = np.random.default_rng(2)
         bec_out = BEC(0.4).transmit(w, rng)
         assert set(np.unique(bec_out)) <= {ERASED, 0, 1}
@@ -74,7 +74,7 @@ class TestChannels:
 
     def test_empirical_rates(self):
         n = 20000
-        w = BitWord.zeros(n)
+        w = BitWord(0, n)
         erased = (BEC(0.05).transmit(w, np.random.default_rng(3)) == ERASED).mean()
         assert abs(erased - 0.05) < 0.01
         flipped = (BSC(0.1).transmit(w, np.random.default_rng(4)) == 1).mean()
@@ -97,7 +97,7 @@ class TestTrialStream:
 
 
 def repetition_encode(i):
-    return BitWord.zeros(3) if i == 0 else BitWord.ones(3)
+    return BitWord(0, 3) if i == 0 else BitWord(0b111, 3)
 
 
 class TestBlockError:

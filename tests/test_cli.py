@@ -182,6 +182,12 @@ class TestSubcodeOracle:
         assert code == 2
         capsys.readouterr()
 
+    def test_m_guard(self, tmp_path, capsys):
+        # r = 1 keeps the dimension at 16, so only the bound on m rejects it
+        code, _ = run(tmp_path, "subcode-oracle", "--m", "15", "--r", "1", "--d", "1")
+        assert code == 2
+        assert "m must be at most 14" in capsys.readouterr().err
+
 
 class TestCosetTrial:
     def test_noiseless_has_no_errors(self, tmp_path):
@@ -212,6 +218,16 @@ class TestCosetTrial:
         )
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
+
+    def test_m_guard(self, tmp_path, capsys):
+        code, _ = run(
+            tmp_path,
+            "coset-trial",
+            "--m", "15", "--r", "7", "--d", "1", "--part-exponent", "5",
+            "--channel", "bec", "--param", "0.1", "--trials", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert "m must be at most 14" in capsys.readouterr().err
 
     def test_full_order_without_inner_order_names_the_cause(self, tmp_path, capsys):
         argv = [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rmrll.channels import BEC, BSC, ERASED, estimate_block_error
 from rmrll.coset import (
-    BSC_MAX_PAYLOAD_BITS,
+    BSC_MAX_COSET_DIM,
     DecodeResult,
     bsc_threshold,
     build_plan,
@@ -127,7 +127,7 @@ class TestBuildPlan:
         plan = build_plan(6, 2, RllSpec(1), 3, 2)
         assert plan.k == 22
         assert plan.outer_length == 64
-        assert plan.inner_exponent == 4
+        assert plan.inner.parent.m == 4
         assert plan.part_length == 16
         assert plan.inner.k == 4
         assert plan.part_count == 11
@@ -138,7 +138,7 @@ class TestBuildPlan:
 
     def test_wide_gap_plan_geometry(self):
         plan = build_plan(5, 2, RllSpec(3), 2, 2)
-        assert plan.inner_exponent == 5
+        assert plan.inner.parent.m == 5
         assert plan.part_length == 32
         assert plan.k == 16
         assert plan.inner.k == 1
@@ -152,7 +152,7 @@ class TestBuildPlan:
     def test_systematic_prefix_is_identity(self):
         plan = small_plan()
         prefix_cols = plan.outer_gen.column_submatrix(range(plan.k))
-        assert prefix_cols == BinaryMatrix.identity(plan.k)
+        assert prefix_cols == BinaryMatrix([1 << i for i in range(plan.k)], plan.k)
 
     def test_permutation_sorts_by_weight_then_index(self):
         plan = build_plan(4, 1, RllSpec(1), 2, 1)
@@ -174,6 +174,15 @@ class TestBuildPlan:
                     plan = build_plan(m, r, RllSpec(d), max(1, m - 3), inner_order=z)
                     assert want_pivots == tuple(range(plan.k))
                     assert plan.outer_gen.row_values == want
+
+    def test_tail_rank_is_min_of_prefix_and_tail_length(self):
+        # rank(P) = min(k, n - k) for every RM(m, r)
+        for m in range(1, 10):
+            for r in range(m + 1):
+                plan = build_plan(m, r, RllSpec(1), m, inner_order=1)
+                tail_length = plan.outer_length - plan.k
+                assert plan.tail_rank == min(plan.k, tail_length)
+                assert plan.tail_rank == plan.outer_gen.mask_columns(plan.tail_mask).rank()
 
     def test_infeasible_plans_rejected(self):
         with pytest.raises(ValueError):
@@ -300,9 +309,9 @@ class TestDecodeBec:
     def test_wholesale_part_substitution_fails_outer_stage(self):
         plan = small_plan()
         tx = encode(2, plan)
-        other = plan.inner.encode(BitWord.ones(plan.inner.k))
+        other = plan.inner.encode(BitWord((1 << plan.inner.k) - 1, plan.inner.k))
         if other == tx.parts[0]:
-            other = plan.inner.encode(BitWord.zeros(plan.inner.k))
+            other = plan.inner.encode(BitWord(0, plan.inner.k))
         obs_parts = list(tx.parts)
         obs_parts[0] = other
         flat = tx.prefix
@@ -499,7 +508,7 @@ class TestDecodeBsc:
     def test_coset_beyond_payload_cap(self):
         # 64 payload bits, but rank P = k: one candidate per tail
         plan = build_plan(8, 3, RllSpec(1), 4)
-        assert plan.payload_bits > BSC_MAX_PAYLOAD_BITS
+        assert plan.payload_bits > BSC_MAX_COSET_DIM
         assert plan.tail_rank == plan.k
         check_bsc_limits(plan)
         message = (1 << plan.payload_bits) - 12345

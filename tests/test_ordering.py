@@ -58,12 +58,6 @@ class TestOrderings:
         assert a.perm != c.perm
         assert a.kind == "sampled" and a.seed == 123
 
-    def test_inverse(self):
-        o = Ordering(2, (2, 0, 3, 1), "explicit")
-        inv = o.inverse()
-        for pos, coord in enumerate(o.perm):
-            assert inv[coord] == pos
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Ordering(2, (0, 1, 2), "explicit")

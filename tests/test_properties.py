@@ -149,7 +149,7 @@ def check_solve_status(mat, data):
         return
     assert sol.status == ("unique" if rank == mat.nrows else "underdetermined")
     assert mat.vecmat(sol.vector) == y
-    assert sol.free_count == mat.nrows - rank
+    assert len(sol.kernel) == mat.nrows - rank
 
 
 def check_kernel(mat):
@@ -190,7 +190,7 @@ class TestLinearSolve:
         sol = mat.solve_right(mat.vecmat(u))
         assert sol.status != "inconsistent"
         assert mat.vecmat(sol.vector) == mat.vecmat(u)
-        if sol.is_unique:
+        if sol.status == "unique":
             assert sol.vector == u
 
     @bounded

@@ -39,7 +39,8 @@ class TestIsConstrained:
             n = int(rng.integers(0, 16))
             d = int(rng.integers(0, 5))
             bits = [int(b) for b in rng.integers(0, 2, size=n)]
-            assert is_constrained(BitWord.from_bits(bits), RllSpec(d)) == gap_ok(bits, d)
+            word = BitWord.from_string("".join(map(str, bits)))
+            assert is_constrained(word, RllSpec(d)) == gap_ok(bits, d)
 
     def test_examples(self):
         s = RllSpec(1)
@@ -48,7 +49,7 @@ class TestIsConstrained:
         assert is_constrained(BitWord.from_string("1001"), RllSpec(2))
         assert not is_constrained(BitWord.from_string("1001"), RllSpec(3))
         assert is_constrained(BitWord.from_string("1111"), RllSpec(0))
-        assert is_constrained(BitWord.zeros(7), RllSpec(4))
+        assert is_constrained(BitWord(0, 7), RllSpec(4))
 
 
 class TestCounts:

@@ -39,7 +39,7 @@ class TestEvalMonomial:
                 assert word[i] == eval_monomial_pointwise(m, variables, i)
 
     def test_empty_product_is_all_ones(self):
-        assert eval_monomial(3, ()) == BitWord.ones(8)
+        assert eval_monomial(3, ()) == BitWord(0xFF, 8)
 
     def test_variable_range_checked(self):
         with pytest.raises(ValueError):
@@ -51,7 +51,7 @@ class TestEvalMonomial:
 class TestRmCode:
     def test_frozen_generator_rm31(self):
         code = RmCode(3, 1)
-        rows = [code.gen.row(i).to01() for i in range(code.k)]
+        rows = [BitWord(v, code.n).to01() for v in code.gen.row_values]
         assert rows == ["11111111", "00001111", "00110011", "01010101"]
 
     def test_monomial_order_degree_then_lex(self):
@@ -118,7 +118,7 @@ class TestInformationSet:
 class TestComplementBasis:
     def test_frozen_rows_rm31(self):
         basis = complement_basis(3, 1)
-        rows = [basis.row(i).to01() for i in range(basis.nrows)]
+        rows = [BitWord(v, basis.ncols).to01() for v in basis.row_values]
         assert rows == ["00000011", "00000101", "00010001", "00000001"]
 
     def test_spans_high_weight_units(self):

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from rmrll.gf2 import BitWord
+from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.ordering import lexicographic_ordering, run_profile, subcode_dimension_bound
 from rmrll.rll import RllSpec, is_constrained
 from rmrll.rm import RmCode
@@ -11,8 +11,6 @@ from rmrll.subcodes import (
     largest_linear_rll_subcode,
     subcode_rate,
 )
-
-from oracles import gap_ok
 
 
 def all_codewords(gen):
@@ -29,11 +27,11 @@ class TestConstruction:
     def test_frozen_single_row_cases(self):
         sub = build_subcode(RmCode(3, 1), RllSpec(1))
         assert sub.k == 1
-        assert sub.gen.row(0).to01() == "01010101"
+        assert sub.gen == BinaryMatrix.from_strings(["01010101"])
 
         sub = build_subcode(RmCode(4, 2), RllSpec(2))
         assert sub.k == 1
-        assert sub.gen.row(0).to01() == "0001000100010001"
+        assert sub.gen == BinaryMatrix.from_strings(["0001000100010001"])
 
     def test_frozen_dimension(self):
         assert build_subcode(RmCode(5, 2), RllSpec(1)).k == 5
@@ -63,8 +61,8 @@ class TestConstruction:
         spec = RllSpec(3)
         z = spec.anchor_count
         sub = build_subcode(RmCode(5, 4), spec)
-        for i in range(sub.k):
-            for pos in sub.gen.row(i).support():
+        for row in sub.gen.row_values:
+            for pos in BitWord(row, sub.gen.ncols).support():
                 assert pos % (1 << z) == (1 << z) - 1
 
     def test_d0_reproduces_parent(self):
@@ -78,7 +76,7 @@ class TestConstruction:
 
     def test_encode(self):
         sub = build_subcode(RmCode(5, 2), RllSpec(1))
-        word = sub.encode(BitWord.ones(sub.k))
+        word = sub.encode(BitWord((1 << sub.k) - 1, sub.k))
         assert len(word) == 32
         assert is_constrained(word, RllSpec(1))
 
@@ -104,25 +102,23 @@ class TestRate:
             subcode_rate(3, 4, RllSpec(1))
 
 
-class TestComplementMap:
-    def test_swaps_gap_and_antigap_worlds(self):
-        # no two adjacent 1s <-> complement has no two adjacent 0s
-        for v in range(1 << 8):
-            w = BitWord(v, 8)
-            bits = list(w)
-            comp = list(w.complement())
-            assert gap_ok(bits, 1) == gap_ok([1 - b for b in comp], 1)
-
-    def test_involution(self):
-        w = BitWord.from_string("0110100")
-        assert w.complement().complement() == w
-
-
 class TestOracle:
     def test_frozen_values(self):
         assert largest_linear_rll_subcode(RmCode(3, 1), RllSpec(1))[0] == 1
         assert largest_linear_rll_subcode(RmCode(4, 1), RllSpec(1))[0] == 1
         assert largest_linear_rll_subcode(RmCode(4, 1), RllSpec(2))[0] == 0
+
+    def test_whole_space_reaches_the_dimension_bound(self):
+        # RM(4, 4) holds every word of length 16; the optimum meets the bound
+        code = RmCode(4, 4)
+        for d, want in ((1, 8), (2, 6)):
+            spec = RllSpec(d)
+            dim, basis = largest_linear_rll_subcode(code, spec)
+            prof = run_profile(code.information_set(), lexicographic_ordering(4), spec)
+            assert dim == want == subcode_dimension_bound(code.k, prof.tuple_count, spec)
+            assert basis.rank() == dim
+            for value in all_codewords(basis):
+                assert is_constrained(BitWord(value, code.n), spec)
 
     def test_rm31_constrained_codewords(self):
         # the only constrained words in RM(3,1): 0, x3, 1+x3, 1+x1+x3
