@@ -46,9 +46,11 @@ __all__ = ["main", "lemma_checks"]
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-# Largest m of a command that builds RM(m, r): codes have 2**m
-# coordinates, and plan set-up and the oracle's codeword sweep grow
-# steeply with m (build_plan takes seconds at m = 14).
+# Largest m of any RM(m, r) a command builds; for coset-trial that is
+# the outer code and the inner one, of exponent
+# m - part_exponent + d.bit_length().  Codes have 2**m coordinates, and
+# plan set-up and the oracle's codeword sweep grow steeply with m
+# (build_plan takes seconds at m = 14).
 MAX_M = 14
 
 
@@ -270,6 +272,12 @@ def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
         raise UsageError("d must be nonnegative")
     if p["m"] > MAX_M:
         raise UsageError(f"m must be at most {MAX_M}")
+    inner_m = p["m"] - p["part_exponent"] + spec.anchor_count
+    if inner_m > MAX_M:
+        raise UsageError(
+            f"inner code exponent m - part_exponent + d.bit_length() = {inner_m}"
+            f" must be at most {MAX_M}"
+        )
     try:
         plan = build_plan(p["m"], p["r"], spec, p["part_exponent"], p["inner_order"])
     except ValueError as exc:

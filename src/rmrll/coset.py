@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +54,50 @@ __all__ = [
 # members; it stays exhaustive only up to these sizes.
 BSC_MAX_COSET_DIM = 20  # bound on k - rank(P), the coset's dimension
 BSC_MAX_INNER_DIM = 16
+
+
+def _byte_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables for u -> u * M ("four Russians"): table b holds the
+    XOR of every subset of rows 8b..8b+7, indexed by byte b of u."""
+    tables = []
+    for start in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[start : start + 8]:
+            table += [t ^ row for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+@dataclass(frozen=True, eq=False)
+class InnerMaps:
+    """The inner code's maps for decoding and encoding.
+
+    ``rref`` is the reduced row-echelon form R of the inner generator G
+    and ``pivots`` its pivot columns, ascending.  With G_P the columns
+    of G at the pivots, R = G_P^-1 G, so the codeword u G carries
+    v = u G_P at the pivots and equals v R.  ``codeword`` maps u to
+    u G and ``message`` maps v back to u = v G_P^-1, each one table
+    lookup per byte of its input.
+    """
+
+    pivots: np.ndarray
+    rref: BinaryMatrix
+    to_codeword: tuple[tuple[int, ...], ...]
+    to_message: tuple[tuple[int, ...], ...]
+
+    def codeword(self, u: int) -> int:
+        return _lookup(self.to_codeword, u)
+
+    def message(self, v: int) -> int:
+        return _lookup(self.to_message, v)
+
+
+def _lookup(tables: tuple[tuple[int, ...], ...], u: int) -> int:
+    acc = 0
+    for table in tables:
+        acc ^= table[u & 0xFF]
+        u >>= 8
+    return acc
 
 
 @dataclass(frozen=True)
@@ -109,10 +154,25 @@ class CosetPlan:
         return min(self.k, self.outer_length - self.k)
 
     @cached_property
+    def inner_maps(self) -> InnerMaps:
+        """Pivots and byte tables of the inner code, built on first use."""
+        gen = self.inner.gen
+        rref, pivots = gen.rref()
+        # row j of G_P^-1 combines the rows of G into row j of the rref
+        to_message = [
+            gen.solve_right(BitWord(row, gen.ncols)).vector.value for row in rref.row_values
+        ]
+        return InnerMaps(
+            pivots=np.array(pivots, dtype=np.intp),
+            rref=rref,
+            to_codeword=_byte_tables(gen.row_values),
+            to_message=_byte_tables(to_message),
+        )
+
+    @cached_property
     def inner_codebook(self) -> tuple[int, ...]:
         """Packed inner codeword of every inner message, by message."""
-        dim = self.inner.k
-        return tuple(self.inner.encode(BitWord(u, dim)).value for u in range(1 << dim))
+        return tuple(map(self.inner_maps.codeword, range(1 << self.inner.k)))
 
 
 def build_plan(
@@ -208,10 +268,11 @@ def encode(message_index: int, plan: CosetPlan) -> CosetTransmission:
     tail_bits = c.value >> plan.k
     dim = plan.inner.k
     mask = (1 << dim) - 1
-    parts = []
-    for i in range(plan.part_count):
-        u = BitWord((tail_bits >> (i * dim)) & mask, dim)
-        parts.append(plan.inner.encode(u))
+    codeword = plan.inner_maps.codeword
+    parts = [
+        BitWord(codeword((tail_bits >> (i * dim)) & mask), plan.part_length)
+        for i in range(plan.part_count)
+    ]
     return CosetTransmission(prefix=w, parts=tuple(parts), outer_codeword=c)
 
 
@@ -230,35 +291,40 @@ class DecodeResult:
         return self.status == "message"
 
 
-def _solve_outer(plan: CosetPlan, known: int, values: int, tail: int) -> Solution:
-    """Solve [I | P] for the prefixes w that carry ``values`` (zero off
-    ``known``) on the prefix bits set in ``known`` and have codeword
-    tail ``tail``.
+def _solve_erased(gen: BinaryMatrix, erased: int, residual: int, seen: int) -> Solution:
+    """Solve for the erased pivot values of a codeword of ``gen``, a
+    generator in reduced row-echelon form.
 
-    Only the prefix bits off ``known`` are unknowns: their rows of P
-    must sum to the tail minus the known bits' contribution.  The
-    returned Solution is over all k prefix bits.  Its status and unique
-    vector are those of the full system on the known prefix columns and
-    the tail, whose rank is popcount(known) + rank of the unknown rows
-    of P.
+    Row i of ``gen`` is the only row with a 1 in its pivot column, and
+    the codeword's value there is its coefficient i.  The coefficients
+    off ``erased`` are known, and ``residual`` is the observation minus
+    the sum of their rows, on the columns set in ``seen``, which holds
+    no erased pivot.  The unknowns are the coefficients set in
+    ``erased``: their rows, restricted to ``seen``, must sum to
+    ``residual``.  The returned Solution is over all rows and zero off
+    ``erased``.  Its status and unique vector are those of the full
+    system on the seen columns: each known pivot's column holds only its
+    own row, so that system's rank is popcount(known pivots) plus the
+    rank of the erased rows on ``seen``, and it is consistent exactly
+    when this one is.
     """
-    k = plan.k
-    rows = plan.outer_gen.row_values
-    target = (plan.outer_gen.vecmat(BitWord(values, k)).value ^ tail) & plan.tail_mask
-    unknown = BitWord(((1 << k) - 1) & ~known, k).support()
-    system = BinaryMatrix([rows[i] & plan.tail_mask for i in unknown], plan.outer_length)
-    sol = system.solve_right(BitWord(target, plan.outer_length))
+    nrows, ncols = gen.nrows, gen.ncols
+    rows = gen.row_values
+    unknown = BitWord(erased, nrows).support()
+    system = BinaryMatrix([rows[i] & seen for i in unknown], ncols)
+    sol = system.solve_right(BitWord(residual, ncols))
     if sol.status == "inconsistent":
         return sol
 
-    def scatter(u: BitWord, base: int = 0) -> BitWord:
+    def scatter(u: BitWord) -> BitWord:
+        out = 0
         for j in u.support():
-            base |= 1 << unknown[j]
-        return BitWord(base, k)
+            out |= 1 << unknown[j]
+        return BitWord(out, nrows)
 
     return Solution(
         sol.status,
-        vector=scatter(sol.vector, values),
+        vector=scatter(sol.vector),
         kernel=tuple(scatter(v) for v in sol.kernel),
     )
 
@@ -284,19 +350,23 @@ def decode(
 
     The observation is packed once into two ints, its 1s and its
     unerased positions, and each part is taken from them by shift and
-    mask.  Only the part step depends on the channel: erasure channels
-    solve each part on its unerased columns (an underdetermined part is
-    ambiguous, an inconsistent one a failure at "part:<i>"); flip
-    channels take the nearest inner codeword.  Both then share one
-    outer step on the systematic generator [I | P]: with the tail
-    recovered, the prefix bits not known exactly (the erased ones, or
-    all k on a flip channel) are solved from w P = tail, and the
-    prefixes that fit form a coset of the kernel of those rows.  An
-    erasure coset with more than one member is reported as ambiguous,
-    never guessed.  Among the coset members that are constrained and
-    encode a message index, the one nearest the prefix observation wins
-    (ties go to the smaller index); no such member is a failure at
-    "outer".
+    mask.  Only the part step depends on the channel.  On an erasure
+    channel, as in the outer step, the unknowns are only the erased
+    pivot bits: the known pivot bits of the inner code's row-reduced
+    generator give part of the message, and the erased ones are solved
+    from the part's unerased non-pivot columns (an underdetermined part
+    is ambiguous, an inconsistent one a failure at "part:<i>"; a part
+    with no erased pivot is consistent exactly when its residual is
+    zero).  On a flip channel each part goes to its nearest inner
+    codeword.  Both then share one outer step on the systematic
+    generator [I | P]: with the tail recovered, the prefix bits not
+    known exactly (the erased ones, or all k on a flip channel) are
+    solved from w P = tail, and the prefixes that fit form a coset of
+    the kernel of those rows.  An erasure coset with more than one
+    member is reported as ambiguous, never guessed.  Among the coset
+    members that are constrained and encode a message index, the one
+    nearest the prefix observation wins (ties go to the smaller index);
+    no such member is a failure at "outer".
     """
     prefix_obs = np.asarray(prefix_obs)
     parts_obs = np.asarray(parts_obs)
@@ -313,21 +383,34 @@ def decode(
     k, dim, npart = plan.k, plan.inner.k, plan.part_length
     obs = np.concatenate((prefix_obs, parts_obs))
     ones = BitWord.from_array(obs == 1).value
-    # a flip channel knows no bit exactly
-    unerased = BitWord.from_array(obs != ERASED).value if erasure else 0
+    unerased = 0  # a flip channel knows no bit exactly
+    if erasure:
+        unerased = BitWord.from_array(obs != ERASED).value
+        # every part's pivot bits, dim apart, in one gather
+        maps = plan.inner_maps
+        pivot_obs = parts_obs.reshape(plan.part_count, npart)[:, maps.pivots]
+        pivot_ones = BitWord.from_array(pivot_obs == 1).value
+        pivot_erased = BitWord.from_array(pivot_obs == ERASED).value
     part_mask = (1 << npart) - 1
+    dim_mask = (1 << dim) - 1
     tail_val = 0
     for i in range(plan.part_count):
         shift = k + i * npart
         y = (ones >> shift) & part_mask
         if erasure:
-            system = plan.inner.gen.mask_columns((unerased >> shift) & part_mask)
-            sol = system.solve_right(BitWord(y, npart))
-            if sol.status == "underdetermined":
-                return DecodeResult("ambiguous")
-            if sol.status == "inconsistent":
+            seen = (unerased >> shift) & part_mask
+            u = maps.message((pivot_ones >> (i * dim)) & dim_mask)
+            residual = (maps.codeword(u) ^ y) & seen
+            erased = (pivot_erased >> (i * dim)) & dim_mask
+            if erased:
+                sol = _solve_erased(maps.rref, erased, residual, seen)
+                if sol.status == "underdetermined":
+                    return DecodeResult("ambiguous")
+                if sol.status == "inconsistent":
+                    return DecodeResult("failure", stage=f"part:{i}")
+                u ^= maps.message(sol.vector.value)
+            elif residual:
                 return DecodeResult("failure", stage=f"part:{i}")
-            u = sol.vector.value
         else:
             book = plan.inner_codebook
             u = min(range(1 << dim), key=lambda u: (book[u] ^ y).bit_count())
@@ -337,7 +420,9 @@ def decode(
     prefix_mask = (1 << k) - 1
     known = unerased & prefix_mask
     prefix_ones = ones & prefix_mask
-    sol = _solve_outer(plan, known, prefix_ones & known, tail)
+    values = prefix_ones & known
+    residual = (plan.outer_gen.vecmat(BitWord(values, k)).value ^ tail) & plan.tail_mask
+    sol = _solve_erased(plan.outer_gen, prefix_mask & ~known, residual, plan.tail_mask)
     if sol.status == "inconsistent":
         return DecodeResult("failure", stage="outer")
     if erasure and sol.status == "underdetermined":
@@ -345,7 +430,7 @@ def decode(
     # the prefixes with this tail: the particular solution plus every
     # combination of the kernel basis
     d = plan.spec.d
-    words = [sol.vector.value]
+    words = [sol.vector.value | values]
     for basis_vec in reversed(sol.kernel):  # descending highest bit
         # the bits above this vector's highest bit are final in every word
         # from here on, so a word that breaks the gap there is dropped now

@@ -48,18 +48,23 @@ class RllSpec:
 
 
 def is_constrained_value(value: int, d: int) -> bool:
-    """Gap check on a packed word value; used by enumeration hot loops."""
+    """Gap check on a packed word value; used by enumeration hot loops.
+
+    Two 1s are too close exactly when some 1 has another at most d
+    places above it, that is when ``value`` meets the OR of
+    value >> 1, ..., value >> d.  That OR is built by doubling the
+    covered shifts, in O(log d) word operations; shifts past the
+    highest 1 add nothing, so d is capped at the word's length.
+    """
+    d = min(d, value.bit_length())
     if d == 0:
         return True
-    prev = -d - 1
-    v = value
-    while v:
-        i = (v & -v).bit_length() - 1
-        if i - prev <= d:
-            return False
-        prev = i
-        v &= v - 1
-    return True
+    near, covered = value >> 1, 1  # near covers the shifts 1..covered
+    while 2 * covered <= d:
+        near |= near >> covered
+        covered *= 2
+    near |= near >> (d - covered)  # d - covered < covered
+    return not value & near
 
 
 def is_constrained(word: BitWord, spec: RllSpec) -> bool:

@@ -229,6 +229,24 @@ class TestCosetTrial:
         assert code == 2
         assert "m must be at most 14" in capsys.readouterr().err
 
+    def test_inner_exponent_guard(self, tmp_path, capsys):
+        # the inner code is RM(m - part_exponent + d.bit_length(), .):
+        # exponent 15, then 26, which would not fit in memory; the small
+        # case comes first so that a missing guard fails before the
+        # large one is built
+        for m, r, d, inner_order in (("6", "3", "1000", "10"), ("14", "7", "5000", "13")):
+            code, _ = run(
+                tmp_path,
+                "coset-trial",
+                "--m", m, "--r", r, "--d", d, "--part-exponent", "1",
+                "--inner-order", inner_order,
+                "--channel", "bec", "--param", "0.1", "--trials", "1", "--seed", "1",
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: inner code exponent")
+            assert "must be at most 14" in err
+
     def test_full_order_without_inner_order_names_the_cause(self, tmp_path, capsys):
         argv = [
             "coset-trial",

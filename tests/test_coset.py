@@ -246,6 +246,36 @@ class TestEncode:
         tx = encode(3, plan)
         assert tx.outer_codeword[: plan.k] == tx.prefix
 
+    def test_table_encode_matches_inner_encode(self):
+        def check(plan, u):
+            maps, dim = plan.inner_maps, plan.inner.k
+            want = plan.inner.encode(BitWord(u, dim)).value
+            assert maps.codeword(u) == want
+            # the pivot bits map back to the message
+            v = sum((want >> p & 1) << j for j, p in enumerate(maps.pivots.tolist()))
+            assert maps.message(v) == u
+
+        for plan in (
+            small_plan(),
+            build_plan(5, 2, RllSpec(1), 2, 2),
+            build_plan(4, 2, RllSpec(2), 2, 2),
+            build_plan(5, 3, RllSpec(2), 2, 3),
+            build_plan(6, 2, RllSpec(1), 3, 2),
+            build_plan(6, 3, RllSpec(3), 2, 5),  # dimension 15: two tables
+        ):
+            for u in range(1 << plan.inner.k):
+                check(plan, u)
+        plan = build_plan(10, 5, RllSpec(1), 4)
+        messages = random.Random(10)
+        for _ in range(200):
+            check(plan, messages.getrandbits(plan.inner.k))
+        # the transmitted parts are the inner encodings of the tail slices
+        tx = encode(messages.getrandbits(plan.payload_bits), plan)
+        dim, tail = plan.inner.k, tx.outer_codeword.value >> plan.k
+        for i, part in enumerate(tx.parts):
+            u = BitWord(tail >> (i * dim) & ((1 << dim) - 1), dim)
+            assert part == plan.inner.encode(u)
+
     def test_message_range_checked(self):
         plan = small_plan()
         with pytest.raises(ValueError):
@@ -375,6 +405,48 @@ class TestDecodeBec:
             assert got[0] == "message" and set(got[2:5]) == {"ambiguous"}
             statuses.update(got)
         assert statuses == {"message", "ambiguous", "failure"}
+
+        # inner dimensions that span several byte tables and are not
+        # multiples of 8: 22 (10 pad bits) at m = 10, and 26 at d = 3 (z = 2)
+        for plan in (build_plan(10, 5, RllSpec(1), 4), build_plan(7, 3, RllSpec(3), 2, 5)):
+            assert plan.inner.k % 8 and plan.inner.k > 16
+            k, npart = plan.k, plan.part_length
+            pivots = plan.inner_maps.pivots.tolist()
+            others = [c for c in range(npart) if c not in pivots]
+            covered = 0
+            for row in plan.inner.gen.row_values:
+                covered |= row
+            dead = [c for c in range(npart) if not covered >> c & 1]  # 0 in every codeword
+            assert dead and not set(dead) & set(pivots)
+            for trial in range(6):
+                tx = encode(messages.getrandbits(plan.payload_bits), plan)
+                i = trial % plan.part_count
+                base = k + i * npart
+                zero = base + dead[trial % len(dead)]
+                # other non-pivot columns of part i, some erased
+                spare = rng.choice(others, size=npart // 4, replace=False) + base
+                spare = spare[spare != zero]
+                flip = int(spare[0])
+                fail = DecodeResult("failure", stage=f"part:{i}")
+                # no erased pivot, one flipped unerased non-pivot bit
+                obs = observe(tx.transmitted, flips=[flip], erasures=spare[1:])
+                assert decode(obs[:k], obs[k:], plan, BEC(0.1)) == fail
+                assert check(plan, tx, flips=[flip], erasures=spare[1:]) == "failure"
+                # a flip where every inner codeword is 0, with and without
+                # erased pivots
+                lost = rng.choice(pivots, size=1 + trial, replace=False) + base
+                for erasures in ((), lost, np.union1d(lost, spare[1:])):
+                    obs = observe(tx.transmitted, flips=[zero], erasures=erasures)
+                    assert decode(obs[:k], obs[k:], plan, BEC(0.1)) == fail
+                    assert check(plan, tx, flips=[zero], erasures=erasures) == "failure"
+                # every pivot of part i erased.  At m = 10 the part code is
+                # RM(6, 2) on the odd coordinates and its pivots are the
+                # points of weight <= 2, so the rest has full rank (the
+                # tail_rank argument); at d = 3 RM(5, 3) keeps rank 6 there
+                all_pivots = np.array(pivots) + base
+                want = "message" if plan.m == 10 else "ambiguous"
+                assert check(plan, tx, erasures=all_pivots) == want
+                check(plan, tx, erasures=np.union1d(all_pivots, spare[1:]))
 
     def test_no_wrong_message_at_large_m(self):
         # erasures alone never turn into a wrong message, whatever the

@@ -5,7 +5,8 @@ oracles.py, and every generator that is built from monomials (RM codes,
 complement bases, anchored subcodes) against ``eval_monomial`` of the
 monomials it is defined by.  Linear solving and row reduction are
 checked against the numpy rank and RREF oracles, on small square-ish
-matrices and on wide ones of up to 40 x 200.  Example counts are
+matrices and on wide ones of up to 40 x 200, and the word-parallel gap
+check against the direct definition on words of up to 4096 bits.  Example counts are
 bounded so the suite stays fast.
 """
 
@@ -18,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmrll.gf2 import BinaryMatrix, BitWord
-from rmrll.rll import RllSpec, count_constrained, enumerative_decode, enumerative_encode
+from rmrll.rll import (
+    RllSpec,
+    count_constrained,
+    enumerative_decode,
+    enumerative_encode,
+    is_constrained_value,
+)
 from rmrll.rm import RmCode, complement_basis, eval_monomial
 from rmrll.subcodes import build_subcode
 
@@ -130,6 +137,41 @@ class TestEnumerativeBijection:
         index = enumerative_decode(word, spec)
         assert 0 <= index < count_constrained(n, spec)
         assert enumerative_encode(index, n, spec) == word
+
+
+@st.composite
+def gap_cases(draw):
+    """(word length, packed word, d) with words of up to 4096 bits.
+
+    Words are dense (uniform bits), sparse (a few 1s anywhere) or
+    spaced (successive 1s d, d + 1 or d + 2 apart, straddling the
+    boundary between a violation and a legal gap); d runs over 0..64,
+    values at or above the word length, and 5000.
+    """
+    n = draw(st.integers(0, 4096))
+    d = draw(st.integers(0, 64) | st.integers(n, n + 8) | st.just(5000))
+    kind = draw(st.sampled_from(("dense", "sparse", "spaced")))
+    if kind == "dense":
+        return n, draw(st.integers(0, (1 << n) - 1)), d
+    if kind == "sparse":
+        ones = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=40)) if n else []
+        return n, sum({1 << i for i in ones}), d
+    value, pos = 0, draw(st.integers(0, 64))
+    for step in draw(st.lists(st.integers(max(d, 1), d + 2), max_size=60)):
+        if pos >= n:
+            break
+        value |= 1 << pos
+        pos += step
+    return n, value, d
+
+
+class TestGapCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(gap_cases())
+    def test_word_parallel_check_matches_oracle(self, case):
+        n, value, d = case
+        bits = [(value >> i) & 1 for i in range(n)]
+        assert is_constrained_value(value, d) == gap_ok(bits, d)
 
 
 def check_solve_status(mat, data):
