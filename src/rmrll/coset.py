@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import BEC, BSC, ERASED, binary_entropy
-from .gf2 import BitWord, BinaryMatrix, Solution
+from .gf2 import BitWord, BinaryMatrix
 from .ordering import Ordering
 from .rll import (
     RllSpec,
@@ -246,10 +246,11 @@ class CosetTransmission:
 
     @property
     def transmitted(self) -> BitWord:
-        out = self.prefix
+        value, length = self.prefix.value, len(self.prefix)
         for p in self.parts:
-            out = out.concat(p)
-        return out
+            value |= p.value << length
+            length += len(p)
+        return BitWord(value, length)
 
 
 def encode(message_index: int, plan: CosetPlan) -> CosetTransmission:
@@ -291,44 +292,6 @@ class DecodeResult:
         return self.status == "message"
 
 
-def _solve_erased(gen: BinaryMatrix, erased: int, residual: int, seen: int) -> Solution:
-    """Solve for the erased pivot values of a codeword of ``gen``, a
-    generator in reduced row-echelon form.
-
-    Row i of ``gen`` is the only row with a 1 in its pivot column, and
-    the codeword's value there is its coefficient i.  The coefficients
-    off ``erased`` are known, and ``residual`` is the observation minus
-    the sum of their rows, on the columns set in ``seen``, which holds
-    no erased pivot.  The unknowns are the coefficients set in
-    ``erased``: their rows, restricted to ``seen``, must sum to
-    ``residual``.  The returned Solution is over all rows and zero off
-    ``erased``.  Its status and unique vector are those of the full
-    system on the seen columns: each known pivot's column holds only its
-    own row, so that system's rank is popcount(known pivots) plus the
-    rank of the erased rows on ``seen``, and it is consistent exactly
-    when this one is.
-    """
-    nrows, ncols = gen.nrows, gen.ncols
-    rows = gen.row_values
-    unknown = BitWord(erased, nrows).support()
-    system = BinaryMatrix([rows[i] & seen for i in unknown], ncols)
-    sol = system.solve_right(BitWord(residual, ncols))
-    if sol.status == "inconsistent":
-        return sol
-
-    def scatter(u: BitWord) -> BitWord:
-        out = 0
-        for j in u.support():
-            out |= 1 << unknown[j]
-        return BitWord(out, nrows)
-
-    return Solution(
-        sol.status,
-        vector=scatter(sol.vector),
-        kernel=tuple(scatter(v) for v in sol.kernel),
-    )
-
-
 def check_bsc_limits(plan: CosetPlan) -> None:
     """Raise ValueError when the plan is too large for flip-channel decoding."""
     coset_dim = plan.k - plan.tail_rank
@@ -348,25 +311,33 @@ def decode(
 ) -> DecodeResult:
     """Two-stage decode of the prefix/parts observations.
 
-    The observation is packed once into two ints, its 1s and its
-    unerased positions, and each part is taken from them by shift and
-    mask.  Only the part step depends on the channel.  On an erasure
-    channel, as in the outer step, the unknowns are only the erased
-    pivot bits: the known pivot bits of the inner code's row-reduced
-    generator give part of the message, and the erased ones are solved
-    from the part's unerased non-pivot columns (an underdetermined part
-    is ambiguous, an inconsistent one a failure at "part:<i>"; a part
-    with no erased pivot is consistent exactly when its residual is
-    zero).  On a flip channel each part goes to its nearest inner
-    codeword.  Both then share one outer step on the systematic
-    generator [I | P]: with the tail recovered, the prefix bits not
-    known exactly (the erased ones, or all k on a flip channel) are
-    solved from w P = tail, and the prefixes that fit form a coset of
-    the kernel of those rows.  An erasure coset with more than one
-    member is reported as ambiguous, never guessed.  Among the coset
-    members that are constrained and encode a message index, the one
-    nearest the prefix observation wins (ties go to the smaller index);
-    no such member is a failure at "outer".
+    One ``packbits`` packs the observation's 1s and (on an erasure
+    channel) its unerased positions and every part's pivot 1s and
+    erasures; each part is taken from these ints by shift and mask.
+    Only the part step depends on the channel.
+    On an erasure channel, as in the outer step, the unknowns are only
+    the erased pivot bits: the known pivot bits of the inner code's
+    row-reduced generator give part of the message, and the erased ones
+    are solved from the part's unerased non-pivot columns (an
+    underdetermined part is ambiguous, an inconsistent one a failure at
+    "part:<i>"; a part with no erased pivot is consistent exactly when
+    its residual is zero).  On a flip channel each part goes to its
+    nearest inner codeword.  Both then share one outer step on the
+    systematic generator [I | P]: with the tail recovered, the prefix
+    bits not known exactly (the erased ones, or all k on a flip
+    channel) are solved from w P = tail, and the prefixes that fit form
+    a coset of the kernel of those rows.  An erasure coset with more
+    than one member is reported as ambiguous, never guessed.  Among the
+    coset members that are constrained and encode a message index, the
+    one nearest the prefix observation wins (ties go to the smaller
+    index); no such member is a failure at "outer".
+
+    Both stages subtract the known pivots' rows and ``solve_right`` on
+    the unknown pivots' rows and the seen columns.  This decides the
+    full system on the seen columns: in a reduced row-echelon generator
+    row i alone has a 1 in pivot column i, so the full rank is the known
+    pivot count plus that of the unknown rows on the seen columns, and
+    the two are consistent, and unique, together.
     """
     prefix_obs = np.asarray(prefix_obs)
     parts_obs = np.asarray(parts_obs)
@@ -382,15 +353,21 @@ def decode(
 
     k, dim, npart = plan.k, plan.inner.k, plan.part_length
     obs = np.concatenate((prefix_obs, parts_obs))
-    ones = BitWord.from_array(obs == 1).value
-    unerased = 0  # a flip channel knows no bit exactly
+    n = obs.size
+    fields = [obs == 1]
     if erasure:
-        unerased = BitWord.from_array(obs != ERASED).value
         # every part's pivot bits, dim apart, in one gather
         maps = plan.inner_maps
-        pivot_obs = parts_obs.reshape(plan.part_count, npart)[:, maps.pivots]
-        pivot_ones = BitWord.from_array(pivot_obs == 1).value
-        pivot_erased = BitWord.from_array(pivot_obs == ERASED).value
+        pivot_obs = parts_obs.reshape(plan.part_count, npart)[:, maps.pivots].ravel()
+        fields += [obs != ERASED, pivot_obs == 1, pivot_obs == ERASED]
+    bits = np.packbits(np.concatenate(fields), bitorder="little")
+    packed = int.from_bytes(bits.tobytes(), "little")  # the fields end to end
+    ones = packed & ((1 << n) - 1)
+    unerased = 0  # a flip channel knows no bit exactly
+    if erasure:
+        unerased = (packed >> n) & ((1 << n) - 1)
+        pivot_ones = (packed >> 2 * n) & ((1 << pivot_obs.size) - 1)
+        pivot_erased = packed >> (2 * n + pivot_obs.size)
     part_mask = (1 << npart) - 1
     dim_mask = (1 << dim) - 1
     tail_val = 0
@@ -403,7 +380,7 @@ def decode(
             residual = (maps.codeword(u) ^ y) & seen
             erased = (pivot_erased >> (i * dim)) & dim_mask
             if erased:
-                sol = _solve_erased(maps.rref, erased, residual, seen)
+                sol = maps.rref.solve_right(BitWord(residual, npart), rows=erased, cols=seen)
                 if sol.status == "underdetermined":
                     return DecodeResult("ambiguous")
                 if sol.status == "inconsistent":
@@ -421,8 +398,9 @@ def decode(
     known = unerased & prefix_mask
     prefix_ones = ones & prefix_mask
     values = prefix_ones & known
-    residual = (plan.outer_gen.vecmat(BitWord(values, k)).value ^ tail) & plan.tail_mask
-    sol = _solve_erased(plan.outer_gen, prefix_mask & ~known, residual, plan.tail_mask)
+    gen = plan.outer_gen
+    residual = BitWord(gen.vecmat(BitWord(values, k)).value ^ tail, gen.ncols)
+    sol = gen.solve_right(residual, rows=prefix_mask & ~known, cols=plan.tail_mask)
     if sol.status == "inconsistent":
         return DecodeResult("failure", stage="outer")
     if erasure and sol.status == "underdetermined":

@@ -161,8 +161,8 @@ def enumerative_decode(word: BitWord, spec: RllSpec) -> int:
     if not is_constrained(word, spec):
         raise ValueError("word violates the gap constraint")
     n = len(word)
-    counts = _count_list(n, spec.d)
-    return sum(counts[n - pos - 1] for pos in word.support())
+    ahead = _count_list(n, spec.d)[n - 1 :: -1] if n else []  # a(n - pos - 1) at pos
+    return sum(map(ahead.__getitem__, word.support()))
 
 
 def payload_bits(n: int, spec: RllSpec) -> int:

@@ -6,8 +6,10 @@ complement bases, anchored subcodes) against ``eval_monomial`` of the
 monomials it is defined by.  Linear solving and row reduction are
 checked against the numpy rank and RREF oracles, on small square-ish
 matrices and on wide ones of up to 40 x 200, and the word-parallel gap
-check against the direct definition on words of up to 4096 bits.  Example counts are
-bounded so the suite stays fast.
+check against the direct definition on words of up to 4096 bits.  The
+numpy word kernels (``vecmat``, ``support``) and the row- and
+column-masked solve are checked against plain bit lists and the numpy
+rank oracle.  Example counts are bounded so the suite stays fast.
 """
 
 from functools import reduce
@@ -261,3 +263,85 @@ class TestWideMatrices:
     @given(wide_matrices())
     def test_rref_matches_oracle(self, mat):
         check_rref(mat)
+
+
+@st.composite
+def vecmat_cases(draw):
+    """A wide matrix, or one with no columns, and a row vector that is
+    zero about a third of the time."""
+    no_columns = st.integers(0, 12).map(lambda n: BinaryMatrix([0] * n, 0))
+    mat = draw(wide_matrices() | no_columns)
+    u = draw(st.just(0) | st.integers(0, (1 << mat.nrows) - 1))
+    return mat, u
+
+
+def bits_of(value: int, n: int) -> list[int]:
+    return [(value >> i) & 1 for i in range(n)]
+
+
+class TestWordKernels:
+    @bounded
+    @given(vecmat_cases(), st.integers(0, (1 << 40) - 1))
+    def test_vecmat_matches_numpy(self, case, other):
+        mat, u = case
+        arr = mat.to_array().astype(int)
+        for v in (u, other & ((1 << mat.nrows) - 1)):  # the second call reuses the row copy
+            want = (np.array(bits_of(v, mat.nrows), dtype=int) @ arr) % 2
+            got = mat.vecmat(BitWord(v, mat.nrows))
+            assert len(got) == mat.ncols
+            assert bits_of(got.value, mat.ncols) == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 4096).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))),
+        st.booleans(),
+    )
+    def test_support_matches_flatnonzero(self, case, top):
+        n, value = case
+        if top and n:
+            value |= 1 << (n - 1)
+        want = np.flatnonzero(np.array(bits_of(value, n), dtype=np.uint8)).tolist()
+        assert BitWord(value, n).support() == tuple(want)
+
+    @bounded
+    @given(wide_matrices(), st.data())
+    def test_masked_solve_matches_gathered_oracle(self, mat, data):
+        """solve_right(y, rows=, cols=) is the solve of the submatrix on
+        those rows and columns, over all rows and zero off ``rows``; the
+        kernel vectors' highest bits are the chosen rows that reduce to
+        zero, ascending."""
+        nrows, ncols = mat.nrows, mat.ncols
+        rows = data.draw(st.integers(0, (1 << nrows) - 1))
+        cols = data.draw(st.integers(0, (1 << ncols) - 1) | st.just((1 << ncols) - 1))
+        y = data.draw(st.integers(0, (1 << ncols) - 1))
+        if data.draw(st.booleans()):  # a consistent target half the time
+            u = data.draw(st.integers(0, (1 << nrows) - 1)) & rows
+            y = mat.vecmat(BitWord(u, nrows)).value
+        picked = [i for i in range(nrows) if rows >> i & 1]
+        seen = [c for c in range(ncols) if cols >> c & 1]
+        sub = mat.to_array()[np.ix_(picked, seen)]
+        target = np.array(bits_of(y, ncols), dtype=np.uint8)[seen]
+        rank = numpy_rank(sub)
+        sol = mat.solve_right(BitWord(y, ncols), rows=rows, cols=cols)
+        if numpy_rank(np.vstack([sub, target])) > rank:
+            assert sol.status == "inconsistent"
+            return
+        assert sol.status == ("unique" if rank == len(picked) else "underdetermined")
+        assert len(sol.vector) == nrows and sol.vector.value & ~rows == 0
+        assert (mat.vecmat(sol.vector).value ^ y) & cols == 0
+        assert len(sol.kernel) == len(picked) - rank
+        for v in sol.kernel:
+            assert len(v) == nrows and v.value & ~rows == 0
+            assert mat.vecmat(v).value & cols == 0
+        dependent = [
+            i for j, i in enumerate(picked) if numpy_rank(sub[: j + 1]) == numpy_rank(sub[:j])
+        ]
+        assert [v.value.bit_length() - 1 for v in sol.kernel] == dependent
+
+    @bounded
+    @given(st.sampled_from((1, 2, 3)), st.data())
+    def test_enumerative_round_trip_at_k638(self, d, data):
+        spec = RllSpec(d)
+        total = count_constrained(638, spec)
+        index = data.draw(st.sampled_from((0, total - 1)) | st.integers(0, total - 1))
+        assert enumerative_decode(enumerative_encode(index, 638, spec), spec) == index
