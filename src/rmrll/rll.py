@@ -161,7 +161,7 @@ def enumerative_decode(word: BitWord, spec: RllSpec) -> int:
     if not is_constrained(word, spec):
         raise ValueError("word violates the gap constraint")
     n = len(word)
-    ahead = _count_list(n, spec.d)[n - 1 :: -1] if n else []  # a(n - pos - 1) at pos
+    ahead = _count_list(n, spec.d)[:n][::-1]  # a(n - pos - 1) at index pos
     return sum(map(ahead.__getitem__, word.support()))
 
 
