@@ -314,23 +314,23 @@ def decode(
     One ``packbits`` packs the observation's 1s and (on an erasure
     channel) its unerased positions and every part's pivot 1s and
     erasures; each part is taken from these ints by shift and mask.
-    Only the part step depends on the channel.
-    On an erasure channel, as in the outer step, the unknowns are only
-    the erased pivot bits: the known pivot bits of the inner code's
-    row-reduced generator give part of the message, and the erased ones
-    are solved from the part's unerased non-pivot columns (an
-    underdetermined part is ambiguous, an inconsistent one a failure at
-    "part:<i>"; a part with no erased pivot is consistent exactly when
-    its residual is zero).  On a flip channel each part goes to its
-    nearest inner codeword.  Both then share one outer step on the
-    systematic generator [I | P]: with the tail recovered, the prefix
-    bits not known exactly (the erased ones, or all k on a flip
-    channel) are solved from w P = tail, and the prefixes that fit form
-    a coset of the kernel of those rows.  An erasure coset with more
-    than one member is reported as ambiguous, never guessed.  Among the
-    coset members that are constrained and encode a message index, the
-    one nearest the prefix observation wins (ties go to the smaller
-    index); no such member is a failure at "outer".
+    Only the part step depends on the channel.  On an erasure channel,
+    as in the outer step, the unknowns are only the erased pivot bits:
+    the known pivot bits of the inner code's row-reduced generator give
+    part of the message, and the erased ones are solved from the part's
+    unerased non-pivot columns (an underdetermined part is ambiguous,
+    an inconsistent one a failure at "part:<i>"; a part with no erased
+    pivot is consistent exactly when its residual is zero).  On a flip
+    channel each part goes to its nearest inner codeword.  Both then
+    share one outer step on the systematic generator [I | P]: with the
+    tail recovered, the prefix bits not known exactly (the erased ones,
+    or all k on a flip channel) are solved from w P = tail, and the
+    prefixes that fit form a coset of the kernel of those rows.  An
+    erasure coset with more than one member is reported as ambiguous,
+    never guessed.  Among the coset members that are constrained and
+    encode a message index, the one nearest the prefix observation wins
+    (ties go to the smaller index); no such member is a failure at
+    "outer".
 
     Both stages subtract the known pivots' rows and ``solve_right`` on
     the unknown pivots' rows and the seen columns.  This decides the

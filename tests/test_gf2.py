@@ -224,3 +224,7 @@ class TestSolveRight:
             mat.solve_right(BitWord.from_string("11"))
         with pytest.raises(ValueError):
             mat.vecmat(BitWord.from_string("11"))
+        y = BitWord.from_string("110")
+        for masks in ({"rows": 0b10}, {"rows": -1}, {"cols": 0b1000}, {"cols": -1}):
+            with pytest.raises(ValueError):
+                mat.solve_right(y, **masks)
