@@ -109,32 +109,32 @@ def describe(group) -> str:
 
 
 def load():
+    """(group, expected tokens) for every group in the corpus file."""
     return [
-        (tuple(g["group"][0]), *g["group"][1:], g["expect"].split())
+        ((tuple(g["group"][0]), *g["group"][1:]), g["expect"].split())
         for g in json.loads(CORPUS.read_text())["groups"]
     ]
 
 
 def test_corpus_covers_every_outcome_kind():
-    groups = load()
-    assert [tuple(g[:7]) for g in groups] == [tuple(g) for g in GROUPS]
-    tokens = {t for g in groups for t in g[7]}
-    kinds = {t if t in ("=", "a", "o") else t[0] for t in tokens}
+    corpus = load()
+    assert [group for group, _ in corpus] == GROUPS
+    kinds = {t if t in ("=", "a", "o") else t[0] for _, want in corpus for t in want}
     assert kinds == {"=", "m", "a", "p", "o"}
-    for g in groups:
-        assert len(g[7]) == g[4]
-        if g[1] == "heavy":
-            assert set(g[7]) == {"a"}, describe(g)
+    for group, want in corpus:
+        _, kind, _, _, trials, _, _ = group
+        assert len(want) == trials, describe(group)
+        if kind == "heavy":
+            assert set(want) == {"a"}, describe(group)
 
 
 def test_every_decode_result_is_unchanged():
     mismatches = []
-    for g in load():
-        got = outcomes(g[:7])
+    for group, want in load():
         mismatches += [
-            f"{describe(g)} trial {t}: expected {want}, got {have}"
-            for t, (want, have) in enumerate(zip(g[7], got))
-            if want != have
+            f"{describe(group)} trial {t}: expected {w}, got {g}"
+            for t, (w, g) in enumerate(zip(want, outcomes(group)))
+            if w != g
         ]
     assert not mismatches, "\n".join(mismatches[:10])
 
