@@ -76,7 +76,6 @@ class Command:
     run: Callable[..., tuple[list[str], int]]
     help: str
     opts: tuple[Opt, ...]
-    fault_hook: bool = False  # accepts the hidden --inject-fault control
 
 
 def _fmt(x: float) -> str:
@@ -171,10 +170,9 @@ def _check_m_max(m_max: int) -> None:
         raise ValueError("m-max must lie in 1..12")
 
 
-def lemma_checks(m_max: int, fault: bool = False) -> tuple[list[str], bool]:
-    """Structural verification report; ``fault`` corrupts one generator
-    as a negative control for the exit-status contract.  Raises
-    ValueError for m_max outside 1..12."""
+def lemma_checks(m_max: int) -> tuple[list[str], bool]:
+    """Structural verification report.  Raises ValueError for m_max
+    outside 1..12."""
     _check_m_max(m_max)
     lines = []
     all_ok = True
@@ -183,11 +181,8 @@ def lemma_checks(m_max: int, fault: bool = False) -> tuple[list[str], bool]:
         ok = True
         for r in range(m + 1):
             code = RmCode(m, r)
-            gen = code.gen
-            if fault and (m, r) == (1, 0):
-                gen = BinaryMatrix([0], code.n)  # negative-control corruption
             info = sorted(code.information_set())
-            if len(info) != code.k or gen.rank_of_columns(info) != code.k:
+            if len(info) != code.k or code.gen.rank_of_columns(info) != code.k:
                 ok = False
         lines.append(f"check=info-set-rank m={m} status={'ok' if ok else 'FAIL'}")
         all_ok &= ok
@@ -230,12 +225,12 @@ def lemma_checks(m_max: int, fault: bool = False) -> tuple[list[str], bool]:
     return lines, all_ok
 
 
-def cmd_verify_lemmas(p: dict, fault: bool = False) -> tuple[list[str], int]:
+def cmd_verify_lemmas(p: dict) -> tuple[list[str], int]:
     try:
         _check_m_max(p["m_max"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    lines, ok = lemma_checks(p["m_max"], fault=fault)
+    lines, ok = lemma_checks(p["m_max"])
     return lines, EXIT_OK if ok else EXIT_FAIL
 
 
@@ -267,9 +262,9 @@ def cmd_subcode_oracle(p: dict) -> tuple[list[str], int]:
 
 
 def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
-    spec = RllSpec(p["d"]) if p["d"] >= 0 else None
-    if spec is None:
+    if p["d"] < 0:
         raise UsageError("d must be nonnegative")
+    spec = RllSpec(p["d"])
     if p["m"] > MAX_M:
         raise UsageError(f"m must be at most {MAX_M}")
     inner_m = p["m"] - p["part_exponent"] + spec.anchor_count
@@ -383,7 +378,6 @@ COMMANDS: dict[str, Command] = {
                 "span checks cap at m=8 and run-count checks always cover m<=12",
             ),
         ),
-        fault_hook=True,
     ),
     "subcode-oracle": Command(
         cmd_subcode_oracle,
@@ -452,13 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=o.help,
             )
-        if cmd.fault_hook:
-            cp.add_argument(
-                "--inject-fault",
-                action="store_true",
-                default=False,
-                help=argparse.SUPPRESS,  # negative-control hook for tests
-            )
     return parser
 
 
@@ -471,8 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     cmd = COMMANDS[args.command]
     try:
         params = _resolve(args, cmd.opts)
-        hook = {"fault": args.inject_fault} if cmd.fault_hook else {}
-        body, status = cmd.run(params, **hook)
+        body, status = cmd.run(params)
         _emit(args.out, _header(args.command, params, args.out) + body)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

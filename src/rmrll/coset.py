@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .channels import BEC, BSC, ERASED, binary_entropy
-from .gf2 import BitWord, BinaryMatrix
+from .gf2 import BitWord, BinaryMatrix, _byte_tables, _pack_bits, _table_mul
 from .ordering import Ordering
 from .rll import (
     RllSpec,
@@ -56,18 +55,6 @@ BSC_MAX_COSET_DIM = 20  # bound on k - rank(P), the coset's dimension
 BSC_MAX_INNER_DIM = 16
 
 
-def _byte_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Lookup tables for u -> u * M ("four Russians"): table b holds the
-    XOR of every subset of rows 8b..8b+7, indexed by byte b of u."""
-    tables = []
-    for start in range(0, len(rows), 8):
-        table = [0]
-        for row in rows[start : start + 8]:
-            table += [t ^ row for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
 @dataclass(frozen=True, eq=False)
 class InnerMaps:
     """The inner code's maps for decoding and encoding.
@@ -86,18 +73,10 @@ class InnerMaps:
     to_message: tuple[tuple[int, ...], ...]
 
     def codeword(self, u: int) -> int:
-        return _lookup(self.to_codeword, u)
+        return _table_mul(self.to_codeword, u)
 
     def message(self, v: int) -> int:
-        return _lookup(self.to_message, v)
-
-
-def _lookup(tables: tuple[tuple[int, ...], ...], u: int) -> int:
-    acc = 0
-    for table in tables:
-        acc ^= table[u & 0xFF]
-        u >>= 8
-    return acc
+        return _table_mul(self.to_message, v)
 
 
 @dataclass(frozen=True)
@@ -196,7 +175,8 @@ def build_plan(
         raise ValueError("part exponent too large: parts would be empty")
     outer = RmCode(m, r)
     k, length = outer.k, outer.n
-    if inner_order is None:
+    picked = inner_order is None
+    if picked:
         if k == length:
             raise ValueError(
                 "r = m leaves no tail, so no inner order can be selected;"
@@ -204,9 +184,13 @@ def build_plan(
             )
         inner_order = select_order(n_inner, k / length)
     if not z <= inner_order <= n_inner:
-        raise ValueError(
-            f"inner order must lie in [{z}, {n_inner}] for a nonzero inner subcode"
-        )
+        reason = f"inner order must lie in [{z}, {n_inner}] for a nonzero inner subcode"
+        if picked:
+            reason = (
+                f"the selection rule picked inner order {inner_order}, but the {reason};"
+                " give the inner order"
+            )
+        raise ValueError(reason)
     inner = build_subcode(RmCode(n_inner, inner_order), spec)
     tail = length - k
     part_count = -(-tail // inner.k)
@@ -311,9 +295,9 @@ def decode(
 ) -> DecodeResult:
     """Two-stage decode of the prefix/parts observations.
 
-    One ``packbits`` packs the observation's 1s and (on an erasure
+    One packed int holds the observation's 1s and (on an erasure
     channel) its unerased positions and every part's pivot 1s and
-    erasures; each part is taken from these ints by shift and mask.
+    erasures, end to end; each part is taken from it by shift and mask.
     Only the part step depends on the channel.  On an erasure channel,
     as in the outer step, the unknowns are only the erased pivot bits:
     the known pivot bits of the inner code's row-reduced generator give
@@ -360,8 +344,7 @@ def decode(
         maps = plan.inner_maps
         pivot_obs = parts_obs.reshape(plan.part_count, npart)[:, maps.pivots].ravel()
         fields += [obs != ERASED, pivot_obs == 1, pivot_obs == ERASED]
-    bits = np.packbits(np.concatenate(fields), bitorder="little")
-    packed = int.from_bytes(bits.tobytes(), "little")  # the fields end to end
+    packed = _pack_bits(np.concatenate(fields))
     ones = packed & ((1 << n) - 1)
     unerased = 0  # a flip channel knows no bit exactly
     if erasure:

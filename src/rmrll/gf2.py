@@ -7,6 +7,11 @@ operations for free, so elimination over a few thousand columns stays
 fast.  ``vecmat`` and ``support`` find the set bits of a dense word in
 numpy instead.  All objects are immutable after construction.
 
+The module owns the packed-word format: in numpy a word is its
+little-endian bytes, ``_byte_rows`` (ints to uint8 rows) and ``_int_of``
+(bytes to an int) being the only conversions.  It also owns the table
+multiply ``_table_mul``, u * M one byte of u at a time.
+
 Elimination pivots on each row's lowest set bit, its first column.  The
 lowest set bit of a monomial x_S's evaluation is the point whose support
 is S, so every row of a Reed-Muller generator, restricted to the points
@@ -49,10 +54,10 @@ class BitWord:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitWord":
         arr = np.asarray(arr)
-        if arr.size == 0:
-            return cls(0, 0)
-        packed = np.packbits(arr.astype(bool), bitorder="little")
-        return cls(int.from_bytes(packed.tobytes(), "little"), int(arr.size))
+        ones = arr == 1
+        if not (ones | (arr == 0)).all():
+            raise ValueError("bits must be 0 or 1")
+        return cls(_pack_bits(ones), int(arr.size))
 
     @property
     def value(self) -> int:
@@ -105,17 +110,52 @@ class BitWord:
 
     def to_array(self) -> np.ndarray:
         """The word as a uint8 array, coordinate 0 first."""
-        if self._n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        raw = self._v.to_bytes((self._n + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return bits[: self._n]
+        return np.unpackbits(_byte_rows((self._v,), self._n), count=self._n, bitorder="little")
+
+
+def _byte_rows(values: Sequence[int], nbits: int) -> np.ndarray:
+    """Nonnegative ints of at most ``nbits`` bits as the rows of a uint8
+    array, each in its ceil(nbits / 8) little-endian bytes."""
+    width = (nbits + 7) // 8
+    raw = b"".join([v.to_bytes(width, "little") for v in values])
+    return np.frombuffer(raw, np.uint8).reshape(len(values), width)
+
+
+def _int_of(raw: np.ndarray) -> int:
+    """The int whose little-endian bytes are ``raw`` (a ``_byte_rows`` row)."""
+    return int.from_bytes(raw.tobytes(), "little")
+
+
+def _pack_bits(bits: np.ndarray) -> int:
+    """The int with bit i set where the flattened ``bits`` is nonzero."""
+    return _int_of(np.packbits(bits, bitorder="little"))
 
 
 def _set_bits(value: int) -> np.ndarray:
     """Positions of the 1s of a nonnegative int, ascending."""
-    raw = np.frombuffer(value.to_bytes((value.bit_length() + 7) // 8, "little"), np.uint8)
+    raw = _byte_rows((value,), value.bit_length())
     return np.unpackbits(raw, bitorder="little").nonzero()[0]
+
+
+def _byte_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables for u -> u * M ("four Russians"): table b holds the
+    XOR of every subset of rows 8b..8b+7, indexed by byte b of u."""
+    tables = []
+    for start in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[start : start + 8]:
+            table += [t ^ row for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _table_mul(tables: tuple[tuple[int, ...], ...], u: int) -> int:
+    """u * M from the ``_byte_tables`` of M: one lookup per byte of u."""
+    acc = 0
+    for table in tables:
+        acc ^= table[u & 0xFF]
+        u >>= 8
+    return acc
 
 
 class Solution(NamedTuple):
@@ -226,30 +266,21 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.nrows}x{self.ncols})"
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols), dtype=np.uint8)
-        for i, row in enumerate(self._rows):
-            out[i] = BitWord(row, self._ncols).to_array()
-        return out
+        raw = _byte_rows(self._rows, self._ncols)
+        return np.unpackbits(raw, axis=1, count=self._ncols, bitorder="little")
 
     def rank(self) -> int:
         return len(_row_basis(self._rows, self._ncols)[0])
 
-    def mask_columns(self, mask: int) -> "BinaryMatrix":
-        """Same shape, with the columns whose bit in ``mask`` is 0 zeroed.
-
-        Rank, and solutions of u * M = y for y zero off the mask, are those
-        of the submatrix on the kept columns, without a per-bit gather.
-        """
-        return BinaryMatrix._trusted([r & mask for r in self._rows], self._ncols)
-
     def rank_of_columns(self, cols: Iterable[int]) -> int:
-        """Rank of the submatrix on ``cols`` without extracting it."""
+        """Rank of the submatrix on ``cols``, without a per-bit gather:
+        the rows masked to those columns have the same rank."""
         mask = 0
         for c in cols:
             if not 0 <= c < self._ncols:
                 raise ValueError("column index out of range")
             mask |= 1 << c
-        return self.mask_columns(mask).rank()
+        return len(_row_basis([r & mask for r in self._rows], self._ncols)[0])
 
     def rref(self) -> tuple["BinaryMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns.
@@ -286,15 +317,12 @@ class BinaryMatrix:
         if not all(0 <= c < self._ncols for c in sel):
             raise ValueError("column index out of range")
         take = np.array(sel, dtype=np.intp)
-        width = (self._ncols + 7) // 8
         out = []
         for start in range(0, self.nrows, 64):  # bounds the unpacked bytes
-            chunk = self._rows[start : start + 64]
-            raw = b"".join(r.to_bytes(width, "little") for r in chunk)
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), width)
-            bits = np.unpackbits(packed, axis=1, bitorder="little")
+            raw = _byte_rows(self._rows[start : start + 64], self._ncols)
+            bits = np.unpackbits(raw, axis=1, bitorder="little")
             picked = np.packbits(bits.take(take, axis=1), axis=1, bitorder="little")
-            out.extend(int.from_bytes(p.tobytes(), "little") for p in picked)
+            out.extend(map(_int_of, picked))
         return BinaryMatrix._trusted(out, len(sel))
 
     def stack(self, other: "BinaryMatrix") -> "BinaryMatrix":
@@ -310,11 +338,9 @@ class BinaryMatrix:
         if not u.value:
             return BitWord(0, self._ncols)
         if self._bytes is None:
-            width = (self._ncols + 7) // 8
-            raw = b"".join(r.to_bytes(width, "little") for r in self._rows)
-            self._bytes = np.frombuffer(raw, np.uint8).reshape(self.nrows, width)
+            self._bytes = _byte_rows(self._rows, self._ncols)
         acc = np.bitwise_xor.reduce(self._bytes[_set_bits(u.value)], axis=0)
-        return BitWord(int.from_bytes(acc.tobytes(), "little"), self._ncols)
+        return BitWord(_int_of(acc), self._ncols)
 
     def solve_right(self, y: BitWord, rows: int | None = None, cols: int | None = None) -> Solution:
         """Solve u * M = y for the row-combination vector u.

@@ -4,6 +4,7 @@ import pytest
 
 from rmrll import cli
 from rmrll.cli import lemma_checks, main
+from rmrll.gf2 import BinaryMatrix
 
 
 def run(tmp_path, *argv):
@@ -143,8 +144,13 @@ class TestVerifyLemmas:
         assert "check=lex-run-count m=12 status=ok" in text
         assert "check=gray-run-bound m=12 status=ok" in text
 
-    def test_fault_injection_fails(self, tmp_path):
-        code, text = run(tmp_path, "verify-lemmas", "--m-max", "2", "--inject-fault")
+    def test_fault_injection_fails(self, tmp_path, monkeypatch):
+        # a rank check that under-reports by one must fail the run
+        honest = BinaryMatrix.rank_of_columns
+        monkeypatch.setattr(
+            BinaryMatrix, "rank_of_columns", lambda self, cols: honest(self, cols) - 1
+        )
+        code, text = run(tmp_path, "verify-lemmas", "--m-max", "2")
         assert code == 1
         assert "status=FAIL" in text and "result=fail" in text
 
@@ -258,6 +264,22 @@ class TestCosetTrial:
         assert "infeasible plan: r = m leaves no tail" in err
         assert "inner order" in err
         # with an explicit inner order the same configuration runs
+        assert run(tmp_path, *argv, "--inner-order", "1")[0] == 0
+
+    def test_infeasible_selected_inner_order_names_the_rule(self, tmp_path, capsys):
+        argv = [
+            "coset-trial",
+            "--m", "4", "--r", "0", "--d", "1", "--part-exponent", "2",
+            "--channel", "bsc", "--param", "0.5", "--trials", "3", "--seed", "1",
+        ]
+        assert run(tmp_path, *argv)[0] == 2
+        err = capsys.readouterr().err
+        assert "infeasible plan: the selection rule picked inner order 0" in err
+        assert "must lie in [1, 3]" in err and "give the inner order" in err
+        # an explicit out-of-range order is reported without the rule
+        assert run(tmp_path, *argv, "--inner-order", "0")[0] == 2
+        err = capsys.readouterr().err
+        assert "selection rule" not in err and "must lie in [1, 3]" in err
         assert run(tmp_path, *argv, "--inner-order", "1")[0] == 0
 
     def test_bsc_pinned_row(self, tmp_path):

@@ -35,6 +35,11 @@ class TestBitWord:
         for text in ("0120", "10a", "1_0", " 10", "10\n", "1 0"):
             with pytest.raises(ValueError, match="bits must be 0 or 1"):
                 BitWord.from_string(text)
+        # the array twin: an erased symbol (-1) or a 2 is not a bit
+        assert BitWord.from_array(np.array([], dtype=np.int8)) == BitWord(0, 0)
+        for arr in ([2, -1, 0], [0, 1, -1], [0.5], [[0, 1], [1, 2]]):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BitWord.from_array(np.array(arr))
 
     def test_indexing(self):
         w = BitWord.from_string("10110")
@@ -122,8 +127,11 @@ class TestBinaryMatrix:
             perm = weight_order(m)
             for r in range(m + 1):
                 gen = RmCode(m, r).gen
-                info = sum(1 << i for i in range(1 << m) if i.bit_count() <= r)
-                for mat in (gen.column_submatrix(perm), gen.mask_columns(info)):
+                info = [i for i in range(1 << m) if i.bit_count() <= r]
+                assert gen.rank_of_columns(info) == gen.nrows
+                mask = sum(1 << i for i in info)
+                restricted = BinaryMatrix([row & mask for row in gen.row_values], gen.ncols)
+                for mat in (gen.column_submatrix(perm), restricted):
                     reduced, pivots = mat.rref()
                     want, want_pivots = column_scan_rref(mat.row_values, mat.ncols)
                     assert pivots == want_pivots and len(pivots) == gen.nrows
@@ -139,22 +147,20 @@ class TestBinaryMatrix:
             mat.column_submatrix([4])
 
     def test_mask_columns_matches_submatrix(self):
+        # a column mask (rank_of_columns, solve_right's cols) acts as the
+        # gathered submatrix on the kept columns
         rng = np.random.default_rng(15)
         for _ in range(40):
             mat, arr = random_matrix(rng, int(rng.integers(1, 9)), 12)
             size = int(rng.integers(0, 13))
             keep = sorted(int(c) for c in rng.choice(12, size=size, replace=False))
             mask = sum(1 << c for c in keep)
-            masked = mat.mask_columns(mask)
-            want = arr.copy()
-            want[:, [c for c in range(12) if c not in keep]] = 0
-            assert np.array_equal(masked.to_array(), want)
             sub = mat.column_submatrix(keep)
-            assert masked.rank() == sub.rank()
+            assert mat.rank_of_columns(keep) == sub.rank() == numpy_rank(arr[:, keep])
             u = BitWord.from_array(rng.integers(0, 2, size=mat.nrows, dtype=np.uint8))
             noise = BitWord.from_array(rng.integers(0, 2, size=12, dtype=np.uint8))
             for y in (mat.vecmat(u), noise):  # consistent, then arbitrary
-                got = masked.solve_right(BitWord(y.value & mask, 12))
+                got = mat.solve_right(y, cols=mask)
                 ref = sub.solve_right(BitWord.from_array(y.to_array()[keep]))
                 assert got == ref
 
@@ -170,6 +176,14 @@ class TestBinaryMatrix:
     def test_identity_stack_zeros(self):
         eye = BinaryMatrix([1 << i for i in range(3)], 3)
         assert eye.to_array().tolist() == np.eye(3, dtype=np.uint8).tolist()
+        rng = np.random.default_rng(19)
+        for shape in ((0, 5), (0, 0), (4, 0), (6, 9), (3, 17)):
+            mat, arr = random_matrix(rng, *shape)
+            rows = [BitWord(v, mat.ncols).to_array() for v in mat.row_values]
+            per_row = np.array(rows, dtype=np.uint8).reshape(shape)
+            got = mat.to_array()
+            assert got.dtype == np.uint8 and got.shape == shape
+            assert np.array_equal(got, per_row) and np.array_equal(got, arr)
         z = BinaryMatrix([0, 0], 3)
         stacked = eye.stack(z)
         assert stacked.nrows == 5 and stacked.rank() == 3

@@ -6,7 +6,9 @@ name that no longer resolves would only surface as an AttributeError
 in a traced benchmark run.  ``perfbench/negative_control.py`` drives
 every workload's checks through the package API (plan fields, the
 column permutation, packed generator rows), so a deleted or renamed
-member it reads fails here rather than in a benchmark run.
+member it reads fails here rather than in a benchmark run.  The
+package surface that the workloads and the README example read is
+pinned too.
 """
 
 import importlib
@@ -46,6 +48,33 @@ def test_traced_name_resolves(module_name, attr):
     owner_name, _, fn_name = attr.rpartition(".")
     owner = getattr(module, owner_name) if owner_name else module
     assert callable(owner.__dict__[fn_name])
+
+
+# the package's public names when its __all__ was last written by hand
+PUBLIC_NAMES = (
+    "BEC BSC ERASED BinaryMatrix BitWord BlockErrorEstimate CosetPlan"
+    " CosetTransmission DecodeResult Ordering PermutationExperiment"
+    " PermutationSample RllSpec RllSubcode RmCode RunProfile Solution"
+    " asymptotic_linear_bound binary_entropy bsc_threshold build_plan"
+    " build_subcode complement_basis coset_rate_lower_bound count_constrained"
+    " crossover_capacity decode encode enumerative_decode enumerative_encode"
+    " estimate_bit_error estimate_block_error eval_monomial gray_ordering"
+    " is_constrained largest_linear_rll_subcode lex_run_count"
+    " lexicographic_ordering noiseless_capacity payload_bits"
+    " permutation_bound_experiment point_of_index run_profile"
+    " sample_permutation select_order subcode_dimension_bound subcode_rate"
+    " trial_stream"
+).split()
+
+
+def test_package_surface():
+    assert len(PUBLIC_NAMES) == 48
+    assert set(PUBLIC_NAMES) <= set(rmrll.__all__)
+    assert len(set(rmrll.__all__)) == len(rmrll.__all__)
+    for name in [*rmrll.__all__, "cli"]:
+        assert hasattr(rmrll, name), name
+    # each name is the one its module defines
+    assert rmrll.decode is rmrll.coset.decode and rmrll.BitWord is rmrll.gf2.BitWord
 
 
 def test_negative_control_passes():
