@@ -273,20 +273,25 @@ def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
             f"inner code exponent m - part_exponent + d.bit_length() = {inner_m}"
             f" must be at most {MAX_M}"
         )
-    try:
-        plan = build_plan(p["m"], p["r"], spec, p["part_exponent"], p["inner_order"])
-    except ValueError as exc:
-        raise UsageError(f"infeasible plan: {exc}") from exc
+    # the scalar checks come before build_plan, which takes seconds at
+    # large m; only the BSC limits need the plan
     try:
         channel = BEC(p["param"]) if p["channel"] == "bec" else BSC(p["param"])
-        if p["channel"] == "bsc":
-            check_bsc_limits(plan)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if p["trials"] < 1:
         raise UsageError("trials must be positive")
     if p["seed"] < 0:
         raise UsageError("seed must be nonnegative")
+    try:
+        plan = build_plan(p["m"], p["r"], spec, p["part_exponent"], p["inner_order"])
+    except ValueError as exc:
+        raise UsageError(f"infeasible plan: {exc}") from exc
+    if p["channel"] == "bsc":
+        try:
+            check_bsc_limits(plan)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     k = plan.k
 
@@ -426,13 +431,25 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser when it names a
+    command, else with every subparser, as help and errors about the
+    command name need.  With one subparser, the metavar keeps the usage
+    line naming every command; the full parser leaves it unset, so an
+    invalid choice is still reported as "argument command"."""
     parser = argparse.ArgumentParser(
         prog="rmrll",
         description="experiments on gap-constrained Reed-Muller transmission",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if one else None,
+    )
     for name, cmd in COMMANDS.items():
+        if one and name != command:
+            continue
         cp = sub.add_parser(name, help=cmd.help)
         cp.add_argument("--out", default="-", help="output path (default: stdout)")
         cp.add_argument(
@@ -450,7 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -123,12 +123,12 @@ class CosetPlan:
         f, so no other monomial of f contains A, and fix every variable
         outside A to 1: by Mobius inversion on that subcube, f sums to
         its x_A coefficient, 1, so f is nonzero at a subcube point,
-        whose weight is at least m - r > r when 2r < m.  When 2r >= m - 1, apply the same argument to the dual
-        RM(m, m - r - 1), fixing the outside variables to 0: no nonzero
-        dual word vanishes on the points of weight <= m - r - 1, a
-        subset of the prefix, so no dual word is supported on the tail
-        and P has full column rank n - k.  The two cases cover every r,
-        and each gives min(k, n - k).
+        whose weight is at least m - r > r when 2r < m.  When 2r >= m - 1,
+        apply the same argument to the dual RM(m, m - r - 1), fixing the
+        outside variables to 0: no nonzero dual word vanishes on the
+        points of weight <= m - r - 1, a subset of the prefix, so no dual
+        word is supported on the tail and P has full column rank n - k.
+        The two cases cover every r, and each gives min(k, n - k).
         """
         return min(self.k, self.outer_length - self.k)
 

@@ -1,4 +1,9 @@
+import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +25,8 @@ def body_lines(text):
 class TestParsing:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "argument command: invalid choice: 'no-such-command'" in err
 
     def test_missing_required_option(self, tmp_path, capsys):
         code, _ = run(tmp_path, "rate-curves")
@@ -52,6 +58,69 @@ class TestParsing:
         monkeypatch.setattr(cli, "noiseless_capacity", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["rate-curves", "--d", "1"])
+
+
+COSET_ARGV = [
+    "coset-trial",
+    "--m", "5", "--r", "2", "--d", "1", "--part-exponent", "2",
+    "--channel", "bsc", "--param", "0.05", "--trials", "20", "--seed", "77",
+]
+
+# main builds only the named command's subparser; help, usage errors and
+# exit statuses must read exactly as from the parser with every command
+PARSER_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "coset-trial"],
+    ["bogus"],
+    ["coset", "--m", "6"],
+    *([name, "-h"] for name in cli.COMMANDS),
+    COSET_ARGV,
+    ["verify-lemmas", "--m-max", "4"],
+    [*COSET_ARGV, "extra"],
+    ["coset-trial", "--m", "x"],
+    ["coset-trial", "--bogus", "1"],
+    ["crossover", "--tol"],
+    ["verify-lemmas", "--m-m", "3"],
+    ["--", "crossover", "--d", "1"],
+]
+
+
+class TestParserBuild:
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda a: " ".join(a) or "no-args")
+    def test_same_as_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        status = main(list(argv))
+        got = status, *capsys.readouterr()
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        status = main(list(argv))
+        assert got == (status, *capsys.readouterr())
+
+    def test_named_command_has_only_its_subparser(self):
+        def names(parser):
+            (sub,) = (
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            return list(sub.choices)
+
+        for name in cli.COMMANDS:
+            assert names(cli._build_parser(name)) == [name]
+        assert names(cli._build_parser("bogus")) == list(cli.COMMANDS)
+        assert names(cli._build_parser()) == list(cli.COMMANDS)
+
+    def test_module_entry_reads_sys_argv(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "rmrll", "crossover", "--d", "1"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "capacity_crossover=0.761260" in done.stdout
 
 
 class TestConfigFile:
@@ -374,6 +443,32 @@ class TestCosetTrial:
         )
         assert code == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "0", "trials must be positive"),
+            ("--seed", "-1", "seed must be nonnegative"),
+            ("--param", "1.5", "erasure probability must lie in [0, 1]"),
+        ],
+    )
+    def test_scalar_options_checked_before_plan(
+        self, flag, value, message, tmp_path, capsys, monkeypatch
+    ):
+        # build_plan takes seconds at large m; a bad scalar option is
+        # reported without building the plan
+        def no_plan(*args):
+            raise AssertionError("build_plan called")
+
+        monkeypatch.setattr(cli, "build_plan", no_plan)
+        options = {
+            "--m": "4", "--r": "1", "--d": "1", "--part-exponent": "2",
+            "--channel": "bec", "--param": "0.1", "--trials": "10", "--seed": "1",
+            flag: value,
+        }
+        code, _ = run(tmp_path, "coset-trial", *(x for kv in options.items() for x in kv))
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = [
