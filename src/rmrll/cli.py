@@ -39,7 +39,7 @@ from .ordering import (
     subcode_dimension_bound,
 )
 from .rll import RllSpec, noiseless_capacity
-from .rm import RmCode, complement_basis
+from .rm import RmCode, complement_basis, information_points
 from .subcodes import ORACLE_MAX_DIM, build_subcode, largest_linear_rll_subcode
 
 __all__ = ["main", "lemma_checks"]
@@ -179,10 +179,13 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
 
     for m in range(1, m_max + 1):
         ok = True
+        # rows by ascending degree: RM(m, r)'s generator is the first k
+        monomials = RmCode(m, m).gen.row_values
         for r in range(m + 1):
-            code = RmCode(m, r)
-            info = sorted(code.information_set())
-            if len(info) != code.k or code.gen.rank_of_columns(info) != code.k:
+            k = sum(comb(m, i) for i in range(r + 1))
+            info = information_points(m, r)
+            gen = BinaryMatrix._trusted(monomials[:k], 1 << m)
+            if len(info) != k or gen.rank_of_columns(info) != k:
                 ok = False
         lines.append(f"check=info-set-rank m={m} status={'ok' if ok else 'FAIL'}")
         all_ok &= ok
@@ -190,12 +193,11 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     for m in range(1, min(m_max, 8) + 1):
         ok = True
         n = 1 << m
+        points = information_points(m, m)
         for r in range(m + 1):
             basis = complement_basis(m, r)
             expected = sum(comb(m, i) for i in range(r + 1, m + 1))
-            units = BinaryMatrix(
-                [1 << i for i in range(n) if i.bit_count() >= r + 1], n
-            )
+            units = BinaryMatrix([1 << i for i in points[n - expected :]], n)
             if not (
                 basis.nrows == expected
                 and basis.rank() == expected
@@ -212,7 +214,7 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
         lex = lexicographic_ordering(m)
         gray = gray_ordering(m)
         for r in range(m):
-            info = frozenset(i for i in range(1 << m) if i.bit_count() <= r)
+            info = information_points(m, r)
             if run_profile(info, lex, spec).bounded_runs != lex_run_count(m, r):
                 ok_lex = False
             if run_profile(info, gray, spec).bounded_runs > comb(m, r + 1):

@@ -1,12 +1,13 @@
 """Coset-based transmission of gap-constrained words over noisy channels.
 
 The outer code is a Reed-Muller code with columns permuted so that the
-information set occupies the first k positions, then row-reduced to a
-systematic generator.  A message picks a constrained prefix w by
-enumerative coding; the codeword tail (the redundancy the constraint
-would otherwise break) is shipped separately, split into parts that are
-each encoded with an anchored gap-respecting inner subcode.  Every
-transmitted symbol stream then satisfies the gap constraint end to end.
+information set occupies the first k positions, and its systematic
+generator is built in closed form (``rm.systematic_generator``).  A
+message picks a constrained prefix w by enumerative coding; the
+codeword tail (the redundancy the constraint would otherwise break) is
+shipped separately, split into parts that are each encoded with an
+anchored gap-respecting inner subcode.  Every transmitted symbol stream
+then satisfies the gap constraint end to end.
 
 Decoding runs in two stages: recover each tail part from its inner
 code, then solve the outer system in which tail coordinates are known
@@ -32,7 +33,7 @@ from .rll import (
     noiseless_capacity,
     payload_bits,
 )
-from .rm import RmCode, select_order
+from .rm import RmCode, _dimension, select_order, systematic_generator
 from .subcodes import RllSubcode, build_subcode
 
 __all__ = [
@@ -173,8 +174,7 @@ def build_plan(
     n_inner = m - part_exponent + z
     if n_inner < 1:
         raise ValueError("part exponent too large: parts would be empty")
-    outer = RmCode(m, r)
-    k, length = outer.k, outer.n
+    k, length = _dimension(m, r), 1 << m
     picked = inner_order is None
     if picked:
         if k == length:
@@ -196,11 +196,10 @@ def build_plan(
     part_count = -(-tail // inner.k)
     pad = part_count * inner.k - tail
 
-    perm = tuple(sorted(range(length), key=lambda i: (i.bit_count(), i)))
-    permutation = Ordering(m, perm, "explicit")
-    sys_gen, pivots = outer.gen.column_submatrix(perm).rref()
-    if pivots != tuple(range(k)):
-        raise AssertionError("permuted information set failed to pivot first")
+    sys_gen, perm = systematic_generator(m, r)
+    prefix_mask = (1 << k) - 1
+    if any(row & prefix_mask != 1 << i for i, row in enumerate(sys_gen.row_values)):
+        raise AssertionError("systematic generator is not the identity on the information set")
 
     return CosetPlan(
         m=m,
@@ -214,7 +213,7 @@ def build_plan(
         part_count=part_count,
         pad_bits=pad,
         payload_bits=payload_bits(k, spec),
-        permutation=permutation,
+        permutation=Ordering(m, perm, "explicit"),
         outer_gen=sys_gen,
         inner=inner,
     )

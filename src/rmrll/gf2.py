@@ -8,9 +8,10 @@ fast.  ``vecmat`` and ``support`` find the set bits of a dense word in
 numpy instead.  All objects are immutable after construction.
 
 The module owns the packed-word format: in numpy a word is its
-little-endian bytes, ``_byte_rows`` (ints to uint8 rows) and ``_int_of``
-(bytes to an int) being the only conversions.  It also owns the table
-multiply ``_table_mul``, u * M one byte of u at a time.
+little-endian bytes, ``_byte_rows`` (ints to uint8 rows), ``_bytes_of``
+(one int to bytes) and ``_int_of`` (bytes to an int) being the only
+conversions.  It also owns the table multiply ``_table_mul``, u * M one
+byte of u at a time.
 
 Elimination pivots on each row's lowest set bit, its first column.  The
 lowest set bit of a monomial x_S's evaluation is the point whose support
@@ -110,7 +111,7 @@ class BitWord:
 
     def to_array(self) -> np.ndarray:
         """The word as a uint8 array, coordinate 0 first."""
-        return np.unpackbits(_byte_rows((self._v,), self._n), count=self._n, bitorder="little")
+        return np.unpackbits(_bytes_of(self._v, self._n), count=self._n, bitorder="little")
 
 
 def _byte_rows(values: Sequence[int], nbits: int) -> np.ndarray:
@@ -119,6 +120,11 @@ def _byte_rows(values: Sequence[int], nbits: int) -> np.ndarray:
     width = (nbits + 7) // 8
     raw = b"".join([v.to_bytes(width, "little") for v in values])
     return np.frombuffer(raw, np.uint8).reshape(len(values), width)
+
+
+def _bytes_of(value: int, nbits: int) -> np.ndarray:
+    """One ``_byte_rows`` row as a flat array, without the join and reshape."""
+    return np.frombuffer(value.to_bytes((nbits + 7) // 8, "little"), np.uint8)
 
 
 def _int_of(raw: np.ndarray) -> int:
@@ -133,7 +139,7 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 def _set_bits(value: int) -> np.ndarray:
     """Positions of the 1s of a nonnegative int, ascending."""
-    raw = _byte_rows((value,), value.bit_length())
+    raw = _bytes_of(value, value.bit_length())
     return np.unpackbits(raw, bitorder="little").nonzero()[0]
 
 

@@ -4,7 +4,25 @@ Evaluation points z = (z_1, ..., z_m) are ordered by integer index with
 z_1 the most significant bit, so lexicographic order on points equals
 numeric order on indices.  Generator rows are monomial evaluations,
 listed by ascending degree and, within a degree, by lexicographic order
-of the variable subset.
+of the variable subset, so the generator of RM(m, r) is the first k rows
+of that of RM(m, m) and ``complement_basis`` holds the rest.
+
+Write x_T for the monomial on the variables that are 1 at the point T,
+and a <= b when the support of point a lies in that of point b, so
+x_T(b) = 1 exactly when T <= b.  The k points of weight at most r, the
+information set, come first in the weight order (``information_points``).
+The systematic generator [I | P] of RM(m, r) on that column order has
+one row for each information point a,
+
+    R_a = sum of x_T over the points T >= a of weight at most r.
+
+Proof that R_a is 1 at a and 0 at every other information point b: the
+sum at b counts the T with a <= T <= b, all of weight at most |b| <= r.
+There are 2**(|b| - |a|) of them when a <= b and none otherwise, an odd
+number exactly when b = a.  ``systematic_generator`` evaluates each x_T
+with one AND and sums over supersets by a superset-sum (zeta) transform,
+one XOR for each information point T of weight below r and each 0 bit
+of T, with no elimination.
 """
 
 from __future__ import annotations
@@ -20,7 +38,9 @@ from .rll import _bisect
 __all__ = [
     "point_of_index",
     "eval_monomial",
+    "information_points",
     "RmCode",
+    "systematic_generator",
     "complement_basis",
     "select_order",
 ]
@@ -84,19 +104,35 @@ def eval_monomial(m: int, variables: Iterable[int]) -> BitWord:
     return BitWord(_monomial_rows(m, [var_set])[0], 1 << m)
 
 
+def _dimension(m: int, r: int) -> int:
+    """k of RM(m, r), the number of monomials of degree at most r."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if not 0 <= r <= m:
+        raise ValueError("r must lie in 0..m")
+    return sum(math.comb(m, i) for i in range(r + 1))
+
+
+def information_points(m: int, r: int) -> tuple[int, ...]:
+    """Point indices of weight at most r, by ascending weight, then index.
+
+    They are the information set of RM(m, r): there are exactly k of
+    them and the generator columns there are linearly independent.  With
+    r = m they are every point, in the column order of
+    ``systematic_generator``.
+    """
+    return tuple(sorted([i for i in range(1 << m) if i.bit_count() <= r], key=int.bit_count))
+
+
 class RmCode:
     """Length 2**m evaluation code of all m-variate polynomials of degree <= r."""
 
     def __init__(self, m: int, r: int):
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        if not 0 <= r <= m:
-            raise ValueError("r must lie in 0..m")
+        self.k = _dimension(m, r)
         self.m = m
         self.r = r
         self.n = 1 << m
         self.monomials = _monomials(m, r)
-        self.k = len(self.monomials)
         self.gen = BinaryMatrix(_monomial_rows(m, self.monomials), self.n)
 
     def __repr__(self) -> str:
@@ -107,13 +143,36 @@ class RmCode:
         return self.gen.vecmat(u)
 
     def information_set(self) -> frozenset[int]:
-        """Point indices whose tuple weight is at most r.
+        """The ``information_points`` of the code, where systematic
+        encoding can pin the message bits."""
+        return frozenset(information_points(self.m, self.r))
 
-        There are exactly k of them and the corresponding generator
-        columns are linearly independent, so systematic encoding can pin
-        message bits to these coordinates.
-        """
-        return frozenset(i for i in range(self.n) if i.bit_count() <= self.r)
+
+def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]:
+    """The systematic generator [I | P] of RM(m, r) and its column order.
+
+    Column c is the point ``order[c]``, with ``order`` the
+    ``information_points(m, m)``, and row i is R_a for the information
+    point a = order[i] (see the module docstring): the reduced
+    row-echelon form of the permuted generator, built without it.
+    """
+    k = _dimension(m, r)
+    n = 1 << m
+    order = information_points(m, m)
+    # index bit b is variable x_(m - b); only the m variables are permuted
+    variables = BinaryMatrix._trusted(_variable_patterns(m), n).column_submatrix(order)
+    by_bit = variables.row_values[::-1]
+    rows = {0: (1 << n) - 1}
+    for a in order[1:k]:  # x_a from the point a without its lowest bit
+        low = a & -a
+        rows[a] = rows[a ^ low] & by_bit[low.bit_length() - 1]
+    lower = order[: k - math.comb(m, r)]  # weight below r
+    for b in range(m):
+        bit = 1 << b
+        for a in lower:
+            if not a & bit:
+                rows[a] ^= rows[a | bit]
+    return BinaryMatrix._trusted([rows[a] for a in order[:k]], n), order
 
 
 def complement_basis(m: int, r: int) -> BinaryMatrix:

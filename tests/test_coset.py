@@ -166,7 +166,7 @@ class TestBuildPlan:
 
     def test_outer_generator_matches_column_scan_rref(self):
         for m in range(1, 11):
-            for r in range(m):
+            for r in range(m + 1):  # r = m has no tail
                 gathered = per_bit_gather(RmCode(m, r).gen.row_values, weight_order(m))
                 want, want_pivots = column_scan_rref(gathered, 1 << m)
                 for d in (1, 2):
@@ -174,6 +174,14 @@ class TestBuildPlan:
                     plan = build_plan(m, r, RllSpec(d), max(1, m - 3), inner_order=z)
                     assert want_pivots == tuple(range(plan.k))
                     assert plan.outer_gen.row_values == want
+
+    def test_outer_generator_matches_rref_at_large_m(self):
+        # rref itself is pinned to the column-scan oracle in test_gf2
+        for m, r in ((11, 5), (12, 6)):
+            want, pivots = RmCode(m, r).gen.column_submatrix(weight_order(m)).rref()
+            plan = build_plan(m, r, RllSpec(1), m - 3)
+            assert pivots == tuple(range(plan.k))
+            assert plan.outer_gen == want
 
     def test_tail_rank_is_min_of_prefix_and_tail_length(self):
         # rank(P) = min(k, n - k) for every RM(m, r)

@@ -7,6 +7,8 @@ monomials it is defined by.  Linear solving and row reduction are
 checked against the numpy rank and RREF oracles, on small square-ish
 matrices and on wide ones of up to 40 x 200, and the word-parallel gap
 check against the direct definition on words of up to 4096 bits.  The
+systematic outer generator of a coset plan is checked, un-permuted,
+against the dual code built pointwise, without row reduction.  The
 numpy word kernels (``vecmat``, ``support``) and the row- and
 column-masked solve are checked against plain bit lists and the numpy
 rank oracle.  Example counts are bounded so the suite stays fast.
@@ -14,12 +16,14 @@ rank oracle.  Example counts are bounded so the suite stays fast.
 
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import xor
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmrll.coset import build_plan
 from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.rll import (
     RllSpec,
@@ -108,6 +112,29 @@ class TestMonomialRows:
         assert sub.gen.row_values == tuple(
             eval_monomial(m, g + anchor).value for g in monos
         )
+
+
+class TestSystematicOuterGenerator:
+    @bounded
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))))
+    def test_rows_are_dual_orthogonal_and_systematic(self, case):
+        # RM(m, r) is the dual of RM(m, m - r - 1), so a word orthogonal to
+        # every dual generator is a codeword; identity on the first k columns
+        # then leaves exactly one generator
+        m, r = case
+        n = 1 << m
+        plan = build_plan(m, r, RllSpec(1), m, inner_order=1)
+        dual = [
+            sum(eval_monomial_pointwise(m, mono, i) << i for i in range(n))
+            for mono in degree_lex(range(1, m + 1), range(m - r))
+        ]
+        perm = plan.permutation.perm
+        rows = plan.outer_gen.row_values
+        assert len(rows) == plan.k == sum(comb(m, i) for i in range(r + 1))
+        for i, row in enumerate(rows):
+            assert row & ((1 << plan.k) - 1) == 1 << i
+            natural = sum(1 << perm[c] for c in range(n) if row >> c & 1)
+            assert all((natural & g).bit_count() % 2 == 0 for g in dual)
 
 
 class TestEnumerativeBijection:

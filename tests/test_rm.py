@@ -8,11 +8,12 @@ from rmrll.rm import (
     RmCode,
     complement_basis,
     eval_monomial,
+    information_points,
     point_of_index,
     select_order,
 )
 
-from oracles import eval_monomial_pointwise, min_nonzero_weight, numpy_rank
+from oracles import eval_monomial_pointwise, min_nonzero_weight, numpy_rank, weight_order
 
 
 class TestPoints:
@@ -106,6 +107,12 @@ class TestInformationSet:
             0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12,
         ]
 
+    def test_points_are_a_prefix_of_the_weight_order(self):
+        for m in range(1, 9):
+            assert list(information_points(m, m)) == weight_order(m)
+            for r in range(m + 1):
+                assert information_points(m, r) == information_points(m, m)[: RmCode(m, r).k]
+
     def test_columns_have_full_rank(self):
         for m in range(1, 9):
             for r in range(m + 1):
@@ -113,6 +120,17 @@ class TestInformationSet:
                 info = sorted(code.information_set())
                 assert len(info) == code.k
                 assert code.gen.rank_of_columns(info) == code.k
+
+
+class TestDegreePrefix:
+    def test_generator_and_complement_split_the_full_generator(self):
+        # verify-lemmas evaluates each m's monomials once and slices them
+        for m in range(1, 9):
+            full = RmCode(m, m).gen.row_values
+            for r in range(m + 1):
+                k = RmCode(m, r).k
+                assert RmCode(m, r).gen.row_values == full[:k]
+                assert complement_basis(m, r).row_values == full[k:]
 
 
 class TestComplementBasis:
