@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Callable
@@ -39,7 +40,7 @@ from .ordering import (
     subcode_dimension_bound,
 )
 from .rll import RllSpec, noiseless_capacity
-from .rm import RmCode, complement_basis, information_points
+from .rm import RmCode, _dimension, _weight_order_monomials, complement_basis, information_points
 from .subcodes import ORACLE_MAX_DIM, build_subcode, largest_linear_rll_subcode
 
 __all__ = ["main", "lemma_checks"]
@@ -165,64 +166,70 @@ def cmd_rate_curves(p: dict) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
+LEMMA_M = 12  # the run checks cover every m up to it, whatever m_max
+
+
 def _check_m_max(m_max: int) -> None:
-    if not 1 <= m_max <= 12:
-        raise ValueError("m-max must lie in 1..12")
+    if not 1 <= m_max <= LEMMA_M:
+        raise ValueError(f"m-max must lie in 1..{LEMMA_M}")
 
 
 def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     """Structural verification report.  Raises ValueError for m_max
-    outside 1..12."""
+    outside 1..12.
+
+    Each m's work is done once.  The points in weight order are taken
+    once; ``information_points(m, r)`` is their first k.  Evaluated in
+    that column order, the first k of all 2**m monomials (by weight) are
+    RM(m, r)'s generator and the first k columns its information set,
+    so one elimination (``leading_ranks``) checks every r.
+    """
     _check_m_max(m_max)
-    lines = []
+    rank_lines, span_lines, run_lines = [], [], []
     all_ok = True
-
-    for m in range(1, m_max + 1):
-        ok = True
-        # rows by ascending degree: RM(m, r)'s generator is the first k
-        monomials = RmCode(m, m).gen.row_values
-        for r in range(m + 1):
-            k = sum(comb(m, i) for i in range(r + 1))
-            info = information_points(m, r)
-            gen = BinaryMatrix._trusted(monomials[:k], 1 << m)
-            if len(info) != k or gen.rank_of_columns(info) != k:
-                ok = False
-        lines.append(f"check=info-set-rank m={m} status={'ok' if ok else 'FAIL'}")
-        all_ok &= ok
-
-    for m in range(1, min(m_max, 8) + 1):
-        ok = True
-        n = 1 << m
-        points = information_points(m, m)
-        for r in range(m + 1):
-            basis = complement_basis(m, r)
-            expected = sum(comb(m, i) for i in range(r + 1, m + 1))
-            units = BinaryMatrix([1 << i for i in points[n - expected :]], n)
-            if not (
-                basis.nrows == expected
-                and basis.rank() == expected
-                and basis.stack(units).rank() == expected
-            ):
-                ok = False
-        lines.append(f"check=complement-span m={m} status={'ok' if ok else 'FAIL'}")
-        all_ok &= ok
-
     spec = RllSpec(1)  # run structure does not depend on d
-    for m in range(1, max(m_max, 12) + 1):
-        ok_lex = True
-        ok_gray = True
+    for m in range(1, LEMMA_M + 1):
+        n = 1 << m
+        order = information_points(m, m)
+        ks = [_dimension(m, r) for r in range(m + 1)]
+
+        if m <= m_max:
+            weights = [a.bit_count() for a in order]
+            monomials = BinaryMatrix._trusted(_weight_order_monomials(m, order, n).values(), n)
+            ok = monomials.leading_ranks(ks) == tuple(ks) and all(
+                bisect_right(weights, r) == k for r, k in enumerate(ks)
+            )
+            rank_lines.append(f"check=info-set-rank m={m} status={'ok' if ok else 'FAIL'}")
+            all_ok &= ok
+
+        if m <= min(m_max, 8):
+            # rows that vanish on the information set, with rank the
+            # number of points off it, span exactly the unit vectors there
+            ok = True
+            for r, k in enumerate(ks):
+                basis = complement_basis(m, r)
+                info = sum(1 << a for a in order[:k])
+                ok &= (
+                    basis.nrows == n - k
+                    and basis.rank() == n - k
+                    and not any(row & info for row in basis.row_values)
+                )
+            span_lines.append(f"check=complement-span m={m} status={'ok' if ok else 'FAIL'}")
+            all_ok &= ok
+
         lex = lexicographic_ordering(m)
         gray = gray_ordering(m)
-        for r in range(m):
-            info = information_points(m, r)
-            if run_profile(info, lex, spec).bounded_runs != lex_run_count(m, r):
+        ok_lex = ok_gray = True
+        for r, k in enumerate(ks[:-1]):
+            if run_profile(order[:k], lex, spec).bounded_runs != lex_run_count(m, r):
                 ok_lex = False
-            if run_profile(info, gray, spec).bounded_runs > comb(m, r + 1):
+            if run_profile(order[:k], gray, spec).bounded_runs > comb(m, r + 1):
                 ok_gray = False
-        lines.append(f"check=lex-run-count m={m} status={'ok' if ok_lex else 'FAIL'}")
-        lines.append(f"check=gray-run-bound m={m} status={'ok' if ok_gray else 'FAIL'}")
+        run_lines.append(f"check=lex-run-count m={m} status={'ok' if ok_lex else 'FAIL'}")
+        run_lines.append(f"check=gray-run-bound m={m} status={'ok' if ok_gray else 'FAIL'}")
         all_ok &= ok_lex and ok_gray
 
+    lines = rank_lines + span_lines + run_lines
     lines.append(f"result={'pass' if all_ok else 'fail'}")
     return lines, all_ok
 
@@ -245,7 +252,7 @@ def cmd_subcode_oracle(p: dict) -> tuple[list[str], int]:
     spec = RllSpec(d)
     if m < spec.anchor_count:
         raise UsageError(f"need m >= {spec.anchor_count} for d={d}")
-    k = sum(comb(m, i) for i in range(r + 1))
+    k = _dimension(m, r)
     if k > ORACLE_MAX_DIM:
         raise UsageError(f"oracle needs dimension <= {ORACLE_MAX_DIM}, got {k}")
     code = RmCode(m, r)

@@ -17,11 +17,14 @@ Elimination pivots on each row's lowest set bit, its first column.  The
 lowest set bit of a monomial x_S's evaluation is the point whose support
 is S, so every row of a Reed-Muller generator, restricted to the points
 of weight at most r or permuted by point weight, brings its own pivot
-and enters the basis with no XOR.
+and enters the basis with no XOR.  ``leading_ranks`` reads the rank of
+every leading square block from one such elimination (proof in its
+docstring).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -184,9 +187,12 @@ class Solution(NamedTuple):
     kernel: tuple[BitWord, ...] = ()
 
 
-def _row_basis(entries: Sequence[int], ncols: int) -> tuple[dict[int, int], list[int]]:
+def _row_basis(
+    entries: Sequence[int], ncols: int, basis: dict[int, int] | None = None
+) -> tuple[dict[int, int], list[int]]:
     """Triangular basis of the span of ``entries``, and the tags of the
-    entries that reduce to zero.  Shared by rank, solve and rref.
+    entries that reduce to zero.  Shared by rank, solve, rref and
+    ``leading_ranks``; a given ``basis`` is extended in place.
 
     An entry packs ``tag << ncols | vector``, so one XOR updates both;
     solve tags row i with bit i, rank and rref pass bare rows.  Each
@@ -197,7 +203,8 @@ def _row_basis(entries: Sequence[int], ncols: int) -> tuple[dict[int, int], list
     the zero-reducing tags form a basis of the left kernel, entry i's
     with its own bit as its highest bit.
     """
-    basis: dict[int, int] = {}
+    if basis is None:
+        basis = {}
     kernel: list[int] = []
     for acc in entries:
         while 0 < (lead := (acc & -acc).bit_length()) <= ncols:
@@ -288,6 +295,30 @@ class BinaryMatrix:
             mask |= 1 << c
         return len(_row_basis([r & mask for r in self._rows], self._ncols)[0])
 
+    def leading_ranks(self, sizes: Iterable[int]) -> tuple[int, ...]:
+        """Rank of the leading s x s block (the first s rows on the first
+        s columns) for each s of the ascending ``sizes``, by one
+        elimination.
+
+        The rows enter one lowest-bit basis in order; after the first s
+        of them, the block's rank is the number of pivots in the first s
+        columns.  Proof: masked to the first s columns, a row meets the
+        same basis entries (masked) and makes the same XORs as at full
+        width while its lowest bit lies in the window; once that bit
+        leaves the window the masked row is zero.  So the masked rows
+        give the masked basis entries with a pivot in the window, and no
+        others.
+        """
+        basis: dict[int, int] = {}
+        done, out = 0, []
+        for s in sizes:
+            if not done <= s <= min(len(self._rows), self._ncols):
+                raise ValueError("sizes must ascend within the row and column counts")
+            _row_basis(self._rows[done:s], self._ncols, basis)
+            done = s
+            out.append(bisect_right(sorted(basis), s))  # pivots in the window
+        return tuple(out)
+
     def rref(self) -> tuple["BinaryMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns.
 
@@ -330,11 +361,6 @@ class BinaryMatrix:
             picked = np.packbits(bits.take(take, axis=1), axis=1, bitorder="little")
             out.extend(map(_int_of, picked))
         return BinaryMatrix._trusted(out, len(sel))
-
-    def stack(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        if self._ncols != other._ncols:
-            raise ValueError("column count mismatch")
-        return BinaryMatrix._trusted(self._rows + other._rows, self._ncols)
 
     def vecmat(self, u: BitWord) -> BitWord:
         """Row combination u * M, XOR-reduced in numpy over a uint8 copy of

@@ -10,6 +10,7 @@ linear subcode can be.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from statistics import fmean
 from typing import Iterable
@@ -53,6 +54,13 @@ class Ordering:
                 if (a ^ b).bit_count() != 1:
                     raise ValueError("gray ordering must step one bit at a time")
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """``perm`` as a read-only index array, built on first use."""
+        arr = np.array(self.perm, np.intp)
+        arr.flags.writeable = False
+        return arr
+
 
 def lexicographic_ordering(m: int) -> Ordering:
     return Ordering(m, tuple(range(1 << m)), "lexicographic")
@@ -89,26 +97,27 @@ class RunProfile:
 
 
 def run_profile(info_set: Iterable[int], ordering: Ordering, spec: RllSpec) -> RunProfile:
-    members = frozenset(info_set)
+    """Runs of ``info_set`` under ``ordering``, by one numpy scan: mark
+    the members, gather the marks through the ordering, and read each
+    run from the rising and falling edges of the in-set flag."""
     n = 1 << ordering.m
-    if members and not all(0 <= i < n for i in members):
+    try:
+        members = np.fromiter(info_set, np.intp)
+    except OverflowError:
+        raise ValueError("index set outside [0, 2**m)") from None
+    if members.size and (members.min() < 0 or members.max() >= n):
         raise ValueError("index set outside [0, 2**m)")
-    runs: list[tuple[int, int]] = []
-    start = None
-    for pos, coord in enumerate(ordering.perm):
-        if coord in members:
-            if start is None:
-                start = pos
-        elif start is not None:
-            runs.append((start, pos - start))
-            start = None
-    if start is not None:
-        runs.append((start, n - start))
-    bounded = len(runs)
-    if runs and runs[-1][0] + runs[-1][1] == n:
-        bounded -= 1
-    t = sum(length // (spec.d + 1) for _, length in runs)
-    return RunProfile(tuple(runs), bounded, t, sum(length for _, length in runs))
+    inset = np.zeros(n, bool)
+    inset[members] = True
+    flags = np.zeros(n + 2, np.int8)  # one 0 before and after the positions
+    flags[1:-1] = inset[ordering.positions]
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    starts, stops = edges[0::2], edges[1::2]
+    lengths = stops - starts
+    runs = tuple(zip(starts.tolist(), lengths.tolist()))
+    bounded = int((stops < n).sum())
+    t = int((lengths // (spec.d + 1)).sum())
+    return RunProfile(runs, bounded, t, int(lengths.sum()))
 
 
 def lex_run_count(m: int, r: int) -> int:

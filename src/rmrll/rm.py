@@ -20,9 +20,14 @@ Proof that R_a is 1 at a and 0 at every other information point b: the
 sum at b counts the T with a <= T <= b, all of weight at most |b| <= r.
 There are 2**(|b| - |a|) of them when a <= b and none otherwise, an odd
 number exactly when b = a.  ``systematic_generator`` evaluates each x_T
-with one AND and sums over supersets by a superset-sum (zeta) transform,
-one XOR for each information point T of weight below r and each 0 bit
-of T, with no elimination.
+with one AND (``_weight_order_monomials``) and sums over supersets by a
+superset-sum (zeta) transform, one XOR for each information point T of
+weight below r and each 0 bit of T, with no elimination.
+
+In the weight order the monomials x_T, listed by T in that order, put
+RM(m, r)'s generator in the first k rows and its information set in the
+first k columns, for every r at once; ``verify-lemmas`` checks all of
+them with one ``BinaryMatrix.leading_ranks``.
 """
 
 from __future__ import annotations
@@ -148,6 +153,27 @@ class RmCode:
         return frozenset(information_points(self.m, self.r))
 
 
+def _weight_order_monomials(m: int, order: tuple[int, ...], count: int) -> dict[int, int]:
+    """x_a for each of the first ``count`` points a of ``order``, the
+    ``information_points(m, m)``, evaluated in that column order (column
+    c is the point order[c]) and keyed by a in that order.
+
+    Only the m variable patterns are permuted; each x_a is one AND from
+    the point without its lowest bit, which comes earlier in the order.
+    The first k of them are the monomials of RM(m, r), and the first k
+    columns its information points.
+    """
+    n = 1 << m
+    # index bit b is variable x_(m - b)
+    variables = BinaryMatrix._trusted(_variable_patterns(m), n).column_submatrix(order)
+    by_bit = variables.row_values[::-1]
+    rows = {0: (1 << n) - 1}
+    for a in order[1:count]:
+        low = a & -a
+        rows[a] = rows[a ^ low] & by_bit[low.bit_length() - 1]
+    return rows
+
+
 def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]:
     """The systematic generator [I | P] of RM(m, r) and its column order.
 
@@ -157,22 +183,15 @@ def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]
     row-echelon form of the permuted generator, built without it.
     """
     k = _dimension(m, r)
-    n = 1 << m
     order = information_points(m, m)
-    # index bit b is variable x_(m - b); only the m variables are permuted
-    variables = BinaryMatrix._trusted(_variable_patterns(m), n).column_submatrix(order)
-    by_bit = variables.row_values[::-1]
-    rows = {0: (1 << n) - 1}
-    for a in order[1:k]:  # x_a from the point a without its lowest bit
-        low = a & -a
-        rows[a] = rows[a ^ low] & by_bit[low.bit_length() - 1]
+    rows = _weight_order_monomials(m, order, k)
     lower = order[: k - math.comb(m, r)]  # weight below r
     for b in range(m):
         bit = 1 << b
         for a in lower:
             if not a & bit:
                 rows[a] ^= rows[a | bit]
-    return BinaryMatrix._trusted([rows[a] for a in order[:k]], n), order
+    return BinaryMatrix._trusted(rows.values(), 1 << m), order
 
 
 def complement_basis(m: int, r: int) -> BinaryMatrix:

@@ -92,6 +92,29 @@ def weight_order(m: int) -> list[int]:
     return sorted(range(1 << m), key=lambda i: (i.bit_count(), i))
 
 
+def run_scan(members, perm, d: int) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
+    """Runs of positions j with perm[j] in ``members``, walked one
+    position at a time, as (runs, bounded runs, (d+1)-tuples, size):
+    runs are (start, length), and a run is bounded when a position
+    follows its last one."""
+    members = set(members)
+    flags = [coord in members for coord in perm]
+    runs = []
+    i = 0
+    while i < len(flags):
+        if flags[i]:
+            j = i
+            while j < len(flags) and flags[j]:
+                j += 1
+            runs.append((i, j - i))
+            i = j
+        else:
+            i += 1
+    bounded = sum(1 for start, length in runs if start + length < len(flags))
+    tuples = sum(length // (d + 1) for _, length in runs)
+    return tuple(runs), bounded, tuples, sum(flags)
+
+
 def gap_ok(bits, d: int) -> bool:
     """Direct definition: every pair of successive 1s has >= d zeros between."""
     ones = [i for i, b in enumerate(bits) if b]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import re
 import subprocess
@@ -213,15 +214,70 @@ class TestVerifyLemmas:
         assert "check=lex-run-count m=12 status=ok" in text
         assert "check=gray-run-bound m=12 status=ok" in text
 
-    def test_fault_injection_fails(self, tmp_path, monkeypatch):
-        # a rank check that under-reports by one must fail the run
-        honest = BinaryMatrix.rank_of_columns
-        monkeypatch.setattr(
-            BinaryMatrix, "rank_of_columns", lambda self, cols: honest(self, cols) - 1
-        )
+    def assert_fails(self, tmp_path, check):
         code, text = run(tmp_path, "verify-lemmas", "--m-max", "2")
         assert code == 1
+        assert f"check={check} m=2 status=FAIL" in text
         assert "status=FAIL" in text and "result=fail" in text
+
+    def test_fault_injection_fails(self, tmp_path, monkeypatch):
+        # a rank check that under-reports by one must fail the run
+        honest = BinaryMatrix.leading_ranks
+        monkeypatch.setattr(
+            BinaryMatrix,
+            "leading_ranks",
+            lambda self, sizes: tuple(rank - 1 for rank in honest(self, sizes)),
+        )
+        self.assert_fails(tmp_path, "info-set-rank")
+
+    def test_complement_row_on_information_set_fails(self, tmp_path, monkeypatch):
+        # a 1 at point 0 (weight 0) keeps the rows independent, so only
+        # the containment test can see it
+        honest = cli.complement_basis
+
+        def faulty(m, r):
+            rows = list(honest(m, r).row_values)
+            if rows:
+                rows[0] |= 1
+            return BinaryMatrix(rows, 1 << m)
+
+        monkeypatch.setattr(cli, "complement_basis", faulty)
+        self.assert_fails(tmp_path, "complement-span")
+
+    def test_overcounted_runs_fail(self, tmp_path, monkeypatch):
+        honest = cli.run_profile
+
+        def faulty(info, ordering, spec):
+            prof = honest(info, ordering, spec)
+            return dataclasses.replace(prof, bounded_runs=prof.bounded_runs + 1)
+
+        monkeypatch.setattr(cli, "run_profile", faulty)
+        self.assert_fails(tmp_path, "lex-run-count")
+
+    def test_full_report_pinned(self, capsys):
+        assert main(["verify-lemmas", "--m-max", "12"]) == 0
+        golden = Path(__file__).with_name("verify_lemmas_m12.txt")
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_each_m_work_done_once(self, monkeypatch):
+        calls = {"information_points": [], "leading_ranks": 0}
+        honest_points = cli.information_points
+        honest_ranks = BinaryMatrix.leading_ranks
+
+        def points(m, r):
+            calls["information_points"].append(m)
+            return honest_points(m, r)
+
+        def ranks(self, sizes):
+            calls["leading_ranks"] += 1
+            return honest_ranks(self, sizes)
+
+        monkeypatch.setattr(cli, "information_points", points)
+        monkeypatch.setattr(BinaryMatrix, "leading_ranks", ranks)
+        lines, ok = lemma_checks(5)
+        assert ok
+        assert sorted(calls["information_points"]) == list(range(1, 13))
+        assert calls["leading_ranks"] == 5
 
     def test_m_max_validation(self, tmp_path, capsys):
         for m_max in ("13", "0"):

@@ -101,6 +101,16 @@ class TestBinaryMatrix:
             assert mat.rank_of_columns(cols) == mat.column_submatrix(cols).rank()
             assert mat.rank_of_columns(cols) == numpy_rank(arr[:, sorted(cols)])
 
+    def test_leading_ranks(self):
+        mat = BinaryMatrix.from_strings(["0110", "0110", "1000", "0001"])
+        assert mat.leading_ranks([0, 1, 2, 2, 3, 4]) == (0, 0, 1, 1, 2, 3)
+        assert mat.leading_ranks([]) == ()
+        for sizes in ([2, 1], [5], [-1]):
+            with pytest.raises(ValueError, match="sizes"):
+                mat.leading_ranks(sizes)
+        with pytest.raises(ValueError, match="sizes"):
+            BinaryMatrix([1, 2], 3).leading_ranks([3])  # past the row count
+
     def test_column_submatrix_matches_per_bit_gather(self):
         rng = np.random.default_rng(18)
         mat, _ = random_matrix(rng, 150, 200)  # more than one 64-row chunk
@@ -184,11 +194,7 @@ class TestBinaryMatrix:
             got = mat.to_array()
             assert got.dtype == np.uint8 and got.shape == shape
             assert np.array_equal(got, per_row) and np.array_equal(got, arr)
-        z = BinaryMatrix([0, 0], 3)
-        stacked = eye.stack(z)
-        assert stacked.nrows == 5 and stacked.rank() == 3
-        with pytest.raises(ValueError):
-            eye.stack(BinaryMatrix([0], 4))
+        assert BinaryMatrix([1, 2, 4, 0, 0], 3).rank() == 3
 
     def test_row_width_validation(self):
         with pytest.raises(ValueError):

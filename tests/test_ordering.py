@@ -17,24 +17,7 @@ from rmrll.ordering import (
 from rmrll.rll import RllSpec
 from rmrll.rm import RmCode
 
-
-def brute_profile(members, perm, d):
-    """Re-derive the run decomposition by direct scanning."""
-    flags = [coord in members for coord in perm]
-    runs = []
-    i = 0
-    while i < len(flags):
-        if flags[i]:
-            j = i
-            while j < len(flags) and flags[j]:
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    bounded = sum(1 for start, length in runs if start + length < len(flags))
-    tuples = sum(length // (d + 1) for _, length in runs)
-    return tuple(runs), bounded, tuples
+from oracles import run_scan
 
 
 class TestOrderings:
@@ -82,21 +65,32 @@ class TestRunProfile:
         assert prof.tuple_count == 1
 
     def test_matches_brute_scan(self):
+        # random sets, and unions of position blocks for long runs
         rng = np.random.default_rng(41)
-        for _ in range(80):
-            m = int(rng.integers(1, 7))
+        for trial in range(150):
+            m = int(rng.integers(1, 8))
             n = 1 << m
-            members = frozenset(
-                int(i) for i in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-            )
-            ordering = sample_permutation(m, int(rng.integers(1 << 30)))
-            d = int(rng.integers(0, 4))
+            ordering = (
+                lexicographic_ordering(m),
+                gray_ordering(m),
+                sample_permutation(m, int(rng.integers(1 << 30))),
+            )[trial % 3]
+            if trial % 2:
+                members = frozenset(
+                    int(i) for i in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                )
+            else:
+                members = set()
+                for _ in range(int(rng.integers(0, 4))):
+                    a = int(rng.integers(0, n))
+                    members.update(ordering.perm[a : a + int(rng.integers(1, n + 1))])
+            d = trial % 4
             prof = run_profile(members, ordering, RllSpec(d))
-            runs, bounded, tuples = brute_profile(members, ordering.perm, d)
+            runs, bounded, tuples, size = run_scan(members, ordering.perm, d)
             assert prof.runs == runs
             assert prof.bounded_runs == bounded
             assert prof.tuple_count == tuples
-            assert prof.size == len(members)
+            assert prof.size == size == len(members)
 
     def test_full_and_empty_sets(self):
         o = lexicographic_ordering(3)
@@ -106,8 +100,15 @@ class TestRunProfile:
         assert empty.runs == () and empty.bounded_runs == 0 and empty.size == 0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            run_profile({9}, lexicographic_ordering(3), RllSpec(1))
+        # numpy would read member -1 as the last coordinate
+        for bad in (-1, 8, 9, 1 << 70):
+            with pytest.raises(ValueError, match="outside"):
+                run_profile({0, bad}, lexicographic_ordering(3), RllSpec(1))
+
+    def test_positions_match_perm(self):
+        ordering = sample_permutation(4, 5)
+        assert ordering.positions.tolist() == list(ordering.perm)
+        assert not ordering.positions.flags.writeable
 
 
 class TestCountsAndBounds:

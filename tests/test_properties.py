@@ -11,7 +11,8 @@ systematic outer generator of a coset plan is checked, un-permuted,
 against the dual code built pointwise, without row reduction.  The
 numpy word kernels (``vecmat``, ``support``) and the row- and
 column-masked solve are checked against plain bit lists and the numpy
-rank oracle.  Example counts are bounded so the suite stays fast.
+rank oracle, and ``leading_ranks`` against the rank oracle on every
+leading block.  Example counts are bounded so the suite stays fast.
 """
 
 from functools import reduce
@@ -290,6 +291,29 @@ class TestWideMatrices:
     @given(wide_matrices())
     def test_rref_matches_oracle(self, mat):
         check_rref(mat)
+
+
+@st.composite
+def leading_cases(draw):
+    """A matrix with dependent and duplicated rows, and ascending block
+    sizes that include 0 and min(nrows, ncols)."""
+    mat = draw(matrices() | wide_matrices())
+    rows = list(mat.row_values)
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+            rows.insert(i, rows[i])
+    mat = BinaryMatrix(rows, mat.ncols)
+    top = min(mat.nrows, mat.ncols)
+    return mat, sorted(draw(st.sets(st.integers(0, top))) | {0, top})
+
+
+class TestLeadingRanks:
+    @settings(max_examples=150, deadline=None)
+    @given(leading_cases())
+    def test_matches_oracle_on_every_leading_block(self, case):
+        mat, sizes = case
+        arr = mat.to_array()
+        assert mat.leading_ranks(sizes) == tuple(numpy_rank(arr[:s, :s]) for s in sizes)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.rm import (
     RmCode,
+    _weight_order_monomials,
     complement_basis,
     eval_monomial,
     information_points,
@@ -122,9 +123,22 @@ class TestInformationSet:
                 assert code.gen.rank_of_columns(info) == code.k
 
 
+    def test_weight_order_monomials_match_pointwise_oracle(self):
+        # x_a for each point a, column c holding the point order[c]
+        for m in range(1, 7):
+            n = 1 << m
+            order = information_points(m, m)
+            rows = _weight_order_monomials(m, order, n)
+            assert tuple(rows) == order
+            for a, row in rows.items():
+                variables = [m - b for b in range(m) if a >> b & 1]
+                want = [eval_monomial_pointwise(m, variables, order[c]) for c in range(n)]
+                assert [row >> c & 1 for c in range(n)] == want
+
+
 class TestDegreePrefix:
     def test_generator_and_complement_split_the_full_generator(self):
-        # verify-lemmas evaluates each m's monomials once and slices them
+        # rows by ascending degree: RM(m, r) is a prefix of RM(m, m)
         for m in range(1, 9):
             full = RmCode(m, m).gen.row_values
             for r in range(m + 1):
@@ -149,7 +163,7 @@ class TestComplementBasis:
                 assert basis.nrows == expected
                 assert basis.rank() == expected
                 if units:
-                    both = basis.stack(BinaryMatrix(units, n))
+                    both = BinaryMatrix(basis.row_values + tuple(units), n)
                     assert both.rank() == expected
                     assert numpy_rank(both.to_array()) == expected
 
