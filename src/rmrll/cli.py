@@ -49,9 +49,11 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 # Largest m of any RM(m, r) a command builds; for coset-trial that is
 # the outer code and the inner one, of exponent
-# m - part_exponent + d.bit_length().  Codes have 2**m coordinates, and
-# plan set-up and the oracle's codeword sweep grow steeply with m
-# (build_plan takes seconds at m = 14).
+# m - part_exponent + d.bit_length().  Codes have 2**m coordinates and a
+# generator of k rows holds k * 2**m bits, so memory sets the cap: on one
+# core of a 2-vCPU host, Python 3.11, a BEC trial at m = 14, r = 7 peaks
+# near 100 MiB and one at m = 15 near 250 MiB, while build_plan takes
+# 0.09 and 0.2 s.
 MAX_M = 14
 
 
@@ -81,6 +83,10 @@ class Command:
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -117,7 +123,7 @@ def _resolve(args: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
         if v is None:
             v = o.default
         if v is None and o.required:
-            raise UsageError(f"missing required option --{o.name.replace('_', '-')}")
+            raise UsageError(f"missing required option {_flag(o.name)}")
         if o.choices and v is not None and v not in o.choices:
             raise UsageError(f"'{o.name}' must be one of {', '.join(o.choices)}")
         resolved[o.name] = v
@@ -282,8 +288,8 @@ def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
             f"inner code exponent m - part_exponent + d.bit_length() = {inner_m}"
             f" must be at most {MAX_M}"
         )
-    # the scalar checks come before build_plan, which takes seconds at
-    # large m; only the BSC limits need the plan
+    # the scalar checks come before build_plan, the costly step at large
+    # m; only the BSC limits need the plan
     try:
         channel = BEC(p["param"]) if p["channel"] == "bec" else BSC(p["param"])
     except ValueError as exc:
@@ -440,25 +446,16 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only ``command``'s subparser when it names a
-    command, else with every subparser, as help and errors about the
-    command name need.  With one subparser, the metavar keeps the usage
-    line naming every command; the full parser leaves it unset, so an
-    invalid choice is still reported as "argument command"."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand.  ``main`` runs it on each
+    argv that ``_parse_spelled_out`` leaves alone: help, usage errors,
+    abbreviations and ``--flag=value`` forms."""
     parser = argparse.ArgumentParser(
         prog="rmrll",
         description="experiments on gap-constrained Reed-Muller transmission",
     )
-    one = command in COMMANDS
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(COMMANDS) + "}" if one else None,
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        if one and name != command:
-            continue
         cp = sub.add_parser(name, help=cmd.help)
         cp.add_argument("--out", default="-", help="output path (default: stdout)")
         cp.add_argument(
@@ -466,23 +463,46 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         )
         for o in cmd.opts:
             cp.add_argument(
-                "--" + o.name.replace("_", "-"),
-                dest=o.name,
-                type=o.typ,
-                default=None,
-                help=o.help,
+                _flag(o.name), dest=o.name, type=o.typ, default=None, help=o.help
             )
     return parser
 
 
+def _parse_spelled_out(argv: list[str]) -> argparse.Namespace | None:
+    """``_build_parser().parse_args(argv)``, read from ``COMMANDS``, for
+    ``<command> (--<flag> <value>)*`` with each flag spelled out in full
+    and no value starting with '-' (the last repeat wins).  None for any
+    other argv, or a value its option's type rejects."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    opts = COMMANDS[argv[0]].opts
+    flags = {"--out": ("out", str), "--config": ("config", str)}
+    flags.update((_flag(o.name), (o.name, o.typ)) for o in opts)
+    values = {"command": argv[0], "out": "-", "config": None}
+    values.update((o.name, None) for o in opts)
+    for flag, raw in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or raw.startswith("-"):
+            return None
+        dest, typ = flags[flag]
+        try:
+            values[dest] = typ(raw)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; returns its exit status.  Spelled-out flags
+    are parsed from the command table; every other argv goes through
+    argparse, whose help, usage errors and exit statuses are unchanged."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse_spelled_out(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     cmd = COMMANDS[args.command]
     try:
         params = _resolve(args, cmd.opts)

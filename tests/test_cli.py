@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import os
 import re
@@ -67,8 +66,9 @@ COSET_ARGV = [
     "--channel", "bsc", "--param", "0.05", "--trials", "20", "--seed", "77",
 ]
 
-# main builds only the named command's subparser; help, usage errors and
-# exit statuses must read exactly as from the parser with every command
+# main parses spelled-out flags from the command table and leaves every
+# other argv to argparse; status, stdout and stderr must read exactly as
+# with argparse alone.  Each row reaches one side of that split.
 PARSER_ARGV = [
     [],
     ["-h"],
@@ -85,6 +85,19 @@ PARSER_ARGV = [
     ["crossover", "--tol"],
     ["verify-lemmas", "--m-m", "3"],
     ["--", "crossover", "--d", "1"],
+    [*COSET_ARGV, "--out", "-"],
+    [*COSET_ARGV, "--param", "-0.5"],
+    [*COSET_ARGV, "--trial", "2"],
+    ["coset-trial", "--m=6"],
+    [*COSET_ARGV, "--seed", "78"],
+    [*COSET_ARGV[:5], "-h"],
+    [*COSET_ARGV, "--param", "nan"],
+]
+
+README_ARGV = [
+    "coset-trial",
+    "--m", "6", "--r", "2", "--d", "1", "--part-exponent", "3", "--inner-order", "2",
+    "--channel", "bec", "--param", "0.05", "--trials", "10000", "--seed", "7",
 ]
 
 
@@ -94,22 +107,39 @@ class TestParserBuild:
         monkeypatch.setenv("COLUMNS", "80")
         status = main(list(argv))
         got = status, *capsys.readouterr()
-        full = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        monkeypatch.setattr(cli, "_parse_spelled_out", lambda argv: None)
         status = main(list(argv))
         assert got == (status, *capsys.readouterr())
 
-    def test_named_command_has_only_its_subparser(self):
-        def names(parser):
-            (sub,) = (
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            )
-            return list(sub.choices)
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (
+                README_ARGV,
+                {"m": 6, "r": 2, "d": 1, "part_exponent": 3, "inner_order": 2,
+                 "channel": "bec", "param": 0.05, "trials": 10000, "seed": 7},
+            ),
+            (["verify-lemmas", "--m-max", "12"], {"m_max": 12}),
+        ],
+        ids=["readme-coset-trial", "verify-lemmas"],
+    )
+    def test_spelled_out_argv_builds_no_parser(self, argv, params, monkeypatch, capsys):
+        # the benchmark's workloads call main with argv of this form
+        def no_parser():
+            raise AssertionError("argparse parser built")
 
-        for name in cli.COMMANDS:
-            assert names(cli._build_parser(name)) == [name]
-        assert names(cli._build_parser("bogus")) == list(cli.COMMANDS)
-        assert names(cli._build_parser()) == list(cli.COMMANDS)
+        seen = []
+
+        def record(p):
+            seen.append(p)
+            return [], 0
+
+        name = argv[0]
+        monkeypatch.setattr(cli, "_build_parser", no_parser)
+        monkeypatch.setitem(cli.COMMANDS, name, dataclasses.replace(cli.COMMANDS[name], run=record))
+        assert main(list(argv)) == 0
+        assert seen == [params]
+        assert capsys.readouterr().out.startswith(f"# command={name}\n")
 
     def test_module_entry_reads_sys_argv(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -511,7 +541,7 @@ class TestCosetTrial:
     def test_scalar_options_checked_before_plan(
         self, flag, value, message, tmp_path, capsys, monkeypatch
     ):
-        # build_plan takes seconds at large m; a bad scalar option is
+        # build_plan is the costly step at large m; a bad scalar option is
         # reported without building the plan
         def no_plan(*args):
             raise AssertionError("build_plan called")

@@ -12,7 +12,10 @@ against the dual code built pointwise, without row reduction.  The
 numpy word kernels (``vecmat``, ``support``) and the row- and
 column-masked solve are checked against plain bit lists and the numpy
 rank oracle, and ``leading_ranks`` against the rank oracle on every
-leading block.  Example counts are bounded so the suite stays fast.
+leading block.  The command line's table parse of spelled-out flags is
+checked against the full argparse parser on argv mixing each command's
+flags with junk tokens.  Example counts are bounded so the suite stays
+fast.
 """
 
 from functools import reduce
@@ -24,6 +27,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmrll import cli
 from rmrll.coset import build_plan
 from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.rll import (
@@ -396,3 +400,37 @@ class TestWordKernels:
         total = count_constrained(638, spec)
         index = data.draw(st.sampled_from((0, total - 1)) | st.integers(0, total - 1))
         assert enumerative_decode(enumerative_encode(index, 638, spec), spec) == index
+
+
+CLI_JUNK = ["-h", "--help", "--m=6", "--tri", "--bogus", "--", "-", "-1", "-0.5", "", "nan", "x"]
+CLI_VALUES = ["6", "0.5", "bsc", "out.csv", " 3", "1_0", "inf"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A command followed by (flag, value) pairs, where a value may be a
+    junk token, and maybe one flag or junk token put anywhere after the
+    command."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    dests = ["out", "config", *(o.name for o in cli.COMMANDS[name].opts)]
+    flags = st.sampled_from([cli._flag(dest) for dest in dests])
+    junk = st.sampled_from(CLI_JUNK)
+    pairs = draw(st.lists(st.tuples(flags, st.sampled_from(CLI_VALUES) | junk), max_size=6))
+    argv = [name, *(token for pair in pairs for token in pair)]
+    where = draw(st.integers(1, len(argv)))
+    return argv[:where] + draw(st.lists(flags | junk, max_size=1)) + argv[where:]
+
+
+class TestCommandLine:
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argv())
+    def test_table_parse_matches_argparse(self, argv):
+        ns = cli._parse_spelled_out(argv)
+        if ns is None:
+            return
+        try:
+            full = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            full = None
+        # repr, because a float option may hold nan, and nan != nan
+        assert full is not None and repr(vars(ns)) == repr(vars(full))
