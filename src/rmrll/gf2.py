@@ -146,6 +146,26 @@ def _set_bits(value: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little").nonzero()[0]
 
 
+def _index_array(items: Iterable[int], n: int, message: str) -> np.ndarray:
+    """``items`` as an index array, each entry checked to lie in [0, n).
+
+    A 1-D integer array is taken as it is (not copied); anything else is
+    read once by ``fromiter``.  An entry outside the range, including
+    one too large for int64, raises ``ValueError(message)``: numpy would
+    read -1 as the last entry.
+    """
+    if isinstance(items, np.ndarray) and items.ndim == 1 and items.dtype.kind in "iu":
+        arr = items
+    else:
+        try:
+            arr = np.fromiter(items, np.intp)
+        except OverflowError:
+            raise ValueError(message) from None
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise ValueError(message)
+    return arr
+
+
 def _byte_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Lookup tables for u -> u * M ("four Russians"): table b holds the
     XOR of every subset of rows 8b..8b+7, indexed by byte b of u."""
@@ -348,19 +368,16 @@ class BinaryMatrix:
         """Gather columns: output column j is column ``cols[j]``.
 
         The given order is kept, so a permutation of all columns permutes
-        the matrix.
+        the matrix.  ``cols`` may be an integer index array.
         """
-        sel = [int(c) for c in cols]
-        if not all(0 <= c < self._ncols for c in sel):
-            raise ValueError("column index out of range")
-        take = np.array(sel, dtype=np.intp)
+        take = _index_array(cols, self._ncols, "column index out of range")
         out = []
         for start in range(0, self.nrows, 64):  # bounds the unpacked bytes
             raw = _byte_rows(self._rows[start : start + 64], self._ncols)
             bits = np.unpackbits(raw, axis=1, bitorder="little")
             picked = np.packbits(bits.take(take, axis=1), axis=1, bitorder="little")
             out.extend(map(_int_of, picked))
-        return BinaryMatrix._trusted(out, len(sel))
+        return BinaryMatrix._trusted(out, take.size)
 
     def vecmat(self, u: BitWord) -> BitWord:
         """Row combination u * M, XOR-reduced in numpy over a uint8 copy of

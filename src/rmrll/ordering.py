@@ -9,14 +9,14 @@ linear subcode can be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import comb
 from statistics import fmean
 from typing import Iterable
 
 import numpy as np
 
+from .gf2 import _index_array
 from .rll import RllSpec
 from .rm import RmCode
 
@@ -38,44 +38,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ordering:
-    """Permutation of the coordinates [0, 2**m); position j holds perm[j]."""
+    """Permutation of the coordinates [0, 2**m); position j holds perm[j].
+
+    ``perm`` may be given as an integer index array; it is stored as a
+    tuple.  ``positions`` is ``perm`` as a read-only index array, the
+    one validated in numpy at construction.
+    """
 
     m: int
     perm: tuple[int, ...]
     kind: str  # "lexicographic" | "gray" | "explicit" | "sampled"
     seed: object = None
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = 1 << self.m
-        if len(self.perm) != n or sorted(self.perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of [0, 2**m)")
+        message = "perm must be a permutation of [0, 2**m)"
+        positions = _index_array(self.perm, n, message)
+        if positions is self.perm:  # the caller's array: keep a copy
+            positions = positions.astype(np.intp)
+        if positions.size != n:
+            raise ValueError(message)
+        seen = np.zeros(n, bool)
+        seen[positions] = True
+        if not seen.all():
+            raise ValueError(message)
         if self.kind == "gray":
-            for a, b in zip(self.perm, self.perm[1:]):
-                if (a ^ b).bit_count() != 1:
-                    raise ValueError("gray ordering must step one bit at a time")
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """``perm`` as a read-only index array, built on first use."""
-        arr = np.array(self.perm, np.intp)
-        arr.flags.writeable = False
-        return arr
+            steps = positions[1:] ^ positions[:-1]  # nonzero: entries are distinct
+            if (steps & (steps - 1)).any():
+                raise ValueError("gray ordering must step one bit at a time")
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        if not isinstance(self.perm, tuple):
+            object.__setattr__(self, "perm", tuple(positions.tolist()))
 
 
 def lexicographic_ordering(m: int) -> Ordering:
-    return Ordering(m, tuple(range(1 << m)), "lexicographic")
+    return Ordering(m, np.arange(1 << m), "lexicographic")
 
 
 def gray_ordering(m: int) -> Ordering:
     """Reflected binary ordering: position j holds coordinate j ^ (j >> 1)."""
-    return Ordering(m, tuple(j ^ (j >> 1) for j in range(1 << m)), "gray")
+    j = np.arange(1 << m)
+    return Ordering(m, j ^ (j >> 1), "gray")
 
 
 def sample_permutation(m: int, seed) -> Ordering:
     """Uniformly random ordering from a deterministic seeded stream."""
     rng = np.random.default_rng(seed)
-    perm = tuple(int(x) for x in rng.permutation(1 << m))
-    return Ordering(m, perm, "sampled", seed=seed)
+    return Ordering(m, rng.permutation(1 << m), "sampled", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -99,14 +110,12 @@ class RunProfile:
 def run_profile(info_set: Iterable[int], ordering: Ordering, spec: RllSpec) -> RunProfile:
     """Runs of ``info_set`` under ``ordering``, by one numpy scan: mark
     the members, gather the marks through the ordering, and read each
-    run from the rising and falling edges of the in-set flag."""
+    run from the rising and falling edges of the in-set flag.
+
+    ``info_set`` may be an integer index array, which is read as it is.
+    """
     n = 1 << ordering.m
-    try:
-        members = np.fromiter(info_set, np.intp)
-    except OverflowError:
-        raise ValueError("index set outside [0, 2**m)") from None
-    if members.size and (members.min() < 0 or members.max() >= n):
-        raise ValueError("index set outside [0, 2**m)")
+    members = _index_array(info_set, n, "index set outside [0, 2**m)")
     inset = np.zeros(n, bool)
     inset[members] = True
     flags = np.zeros(n + 2, np.int8)  # one 0 before and after the positions
@@ -115,9 +124,9 @@ def run_profile(info_set: Iterable[int], ordering: Ordering, spec: RllSpec) -> R
     starts, stops = edges[0::2], edges[1::2]
     lengths = stops - starts
     runs = tuple(zip(starts.tolist(), lengths.tolist()))
-    bounded = int((stops < n).sum())
+    bounded = len(runs) - int(flags[-2])  # less a run ending at the last position
     t = int((lengths // (spec.d + 1)).sum())
-    return RunProfile(runs, bounded, t, int(lengths.sum()))
+    return RunProfile(runs, bounded, t, int(np.count_nonzero(inset)))
 
 
 def lex_run_count(m: int, r: int) -> int:

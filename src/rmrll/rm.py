@@ -37,6 +37,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .gf2 import BitWord, BinaryMatrix
 from .rll import _bisect
 
@@ -64,17 +66,15 @@ def _variable_patterns(m: int) -> tuple[int, ...]:
 
     Bit i of pattern j-1 is the value of x_j at point index i.  Variable
     x_j reads bit (m - j) of the index, giving alternating blocks of
-    width 2**(m - j).
+    width w = 2**(m - j): a block of w 1s above w 0s, repeated every 2w
+    bits, which is that 2w-bit block times the sum of 2**(2w * t) over
+    the n / 2w repeats, (2**n - 1) / (2**(2w) - 1).
     """
     n = 1 << m
     out = []
     for j in range(1, m + 1):
-        b = m - j
-        block = (1 << (1 << b)) - 1
-        v = 0
-        for start in range(1 << b, n, 1 << (b + 1)):
-            v |= block << start
-        out.append(v)
+        w = 1 << (m - j)
+        out.append((((1 << w) - 1) << w) * (((1 << n) - 1) // ((1 << 2 * w) - 1)))
     return tuple(out)
 
 
@@ -125,8 +125,17 @@ def information_points(m: int, r: int) -> tuple[int, ...]:
     them and the generator columns there are linearly independent.  With
     r = m they are every point, in the column order of
     ``systematic_generator``.
+
+    Built in numpy: the weights of all points by m doubling steps (the
+    points in [2**b, 2**(b+1)) weigh one more than those below 2**b),
+    then the points of each weight by ``nonzero``, which keeps them in
+    index order.
     """
-    return tuple(sorted([i for i in range(1 << m) if i.bit_count() <= r], key=int.bit_count))
+    weights = np.zeros(1 << m, np.int8)
+    for b in range(m):
+        np.add(weights[: 1 << b], 1, out=weights[1 << b : 2 << b])
+    by_weight = [(weights == w).nonzero()[0] for w in range(min(r, m) + 1)]
+    return tuple(np.concatenate(by_weight).tolist()) if by_weight else ()
 
 
 class RmCode:

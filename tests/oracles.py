@@ -92,6 +92,22 @@ def weight_order(m: int) -> list[int]:
     return sorted(range(1 << m), key=lambda i: (i.bit_count(), i))
 
 
+def variable_patterns_by_blocks(m: int) -> tuple[int, ...]:
+    """Packed evaluation of each variable x_1 ... x_m, one block of 1s
+    at a time: x_j is 1 on the blocks of width 2**(m - j) that start at
+    odd multiples of that width."""
+    n = 1 << m
+    out = []
+    for j in range(1, m + 1):
+        b = m - j
+        block = (1 << (1 << b)) - 1
+        v = 0
+        for start in range(1 << b, n, 1 << (b + 1)):
+            v |= block << start
+        out.append(v)
+    return tuple(out)
+
+
 def run_scan(members, perm, d: int) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
     """Runs of positions j with perm[j] in ``members``, walked one
     position at a time, as (runs, bounded runs, (d+1)-tuples, size):

@@ -224,9 +224,13 @@ class TestRateCurves:
             assert re.fullmatch(r"(\d+\.\d{6})(,\d+\.\d{6}){3}", row)
 
     def test_grid_validation(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "rate-curves", "--d", "1", "--grid", "0.5")
-        assert code == 2
-        capsys.readouterr()
+        # outside (0, 0.1], or more rows than the cap: 1e-300 would build
+        # 10**300 rows before printing one, and 1 / 5e-324 is inf
+        for grid in ("0.5", "1e-7", "1e-300", "5e-324"):
+            code, _ = run(tmp_path, "rate-curves", "--d", "1", "--grid", grid)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "grid must lie in (0, 0.1] and give at most 1,000,000 rows" in err
 
     def test_large_gap_runs(self, tmp_path):
         code, text = run(tmp_path, "rate-curves", "--d", "5000", "--grid", "0.1")
@@ -258,6 +262,16 @@ class TestVerifyLemmas:
             "leading_ranks",
             lambda self, sizes: tuple(rank - 1 for rank in honest(self, sizes)),
         )
+        self.assert_fails(tmp_path, "info-set-rank")
+
+    def test_points_out_of_weight_order_fail(self, tmp_path, monkeypatch):
+        # (0, 2, 3, 1) is not in weight order at m=2; with the rank check
+        # forced to pass, only the weight check can see it
+        honest = cli.information_points
+        monkeypatch.setattr(
+            cli, "information_points", lambda m, r: (0, 2, 3, 1) if m == 2 else honest(m, r)
+        )
+        monkeypatch.setattr(BinaryMatrix, "leading_ranks", lambda self, sizes: tuple(sizes))
         self.assert_fails(tmp_path, "info-set-rank")
 
     def test_complement_row_on_information_set_fails(self, tmp_path, monkeypatch):

@@ -124,11 +124,17 @@ class TestBinaryMatrix:
             sub = mat.column_submatrix(cols)
             assert sub.ncols == len(cols) and sub.nrows == mat.nrows
             assert sub.row_values == per_bit_gather(mat.row_values, cols)
+            assert mat.column_submatrix(np.array(cols, np.intp)) == sub
         empty = BinaryMatrix([], 100).column_submatrix([3, 3, 99])
         assert empty.nrows == 0 and empty.ncols == 3
         assert BinaryMatrix([0, 0], 0).column_submatrix([]).row_values == (0, 0)
-        with pytest.raises(ValueError):
-            mat.column_submatrix([-1])
+        # numpy would read -1 as the last column; 2**70 overflows int64
+        for bad in (-1, mat.ncols, 1 << 70):
+            with pytest.raises(ValueError, match="out of range"):
+                mat.column_submatrix([0, bad])
+        for bad in (np.array([0, -1]), np.array([mat.ncols]), np.array([1 << 63], np.uint64)):
+            with pytest.raises(ValueError, match="out of range"):
+                mat.column_submatrix(bad)
 
     def test_rref_matches_column_scan_on_rm_generators(self):
         # weight-permuted and information-set-restricted RM(m, r)

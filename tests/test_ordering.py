@@ -15,7 +15,7 @@ from rmrll.ordering import (
     subcode_dimension_bound,
 )
 from rmrll.rll import RllSpec
-from rmrll.rm import RmCode
+from rmrll.rm import RmCode, information_points
 
 from oracles import run_scan
 
@@ -42,12 +42,36 @@ class TestOrderings:
         assert a.kind == "sampled" and a.seed == 123
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Ordering(2, (0, 1, 2), "explicit")
-        with pytest.raises(ValueError):
-            Ordering(2, (0, 1, 2, 2), "explicit")
-        with pytest.raises(ValueError):
+        for perm in (
+            (0, 1, 2),  # wrong length
+            (0, 1, 2, 3, 0),
+            (0, 1, 2, 2),  # duplicate
+            (0, 1, 2, -1),  # numpy would read -1 as the last coordinate
+            (0, 1, 2, 1 << 70),  # beyond int64
+            (0, 1, 2, 4),
+        ):
+            for given in (perm, list(perm)):
+                with pytest.raises(ValueError, match="permutation"):
+                    Ordering(2, given, "explicit")
+        with pytest.raises(ValueError, match="permutation"):
+            Ordering(2, np.array([0, 1, 1, 3]), "explicit")
+        with pytest.raises(ValueError, match="one bit"):
             Ordering(2, (0, 3, 1, 2), "gray")  # 0 -> 3 flips two bits
+        with pytest.raises(ValueError, match="one bit"):
+            Ordering(3, (0, 1, 3, 2, 6, 4, 7, 5), "gray")  # 4 -> 7 flips two bits
+
+    def test_array_perm_is_stored_as_a_tuple(self):
+        given = np.array([0, 2, 3, 1])
+        o = Ordering(2, given, "explicit")
+        assert o.perm == (0, 2, 3, 1) and type(o.perm) is tuple
+        assert all(type(c) is int for c in o.perm)
+        assert o == Ordering(2, (0, 2, 3, 1), "explicit")
+        given[0] = 1  # the ordering keeps its own copy
+        assert o.positions.tolist() == [0, 2, 3, 1]
+        for m in range(1, 9):
+            j = range(1 << m)
+            assert lexicographic_ordering(m).perm == tuple(j)
+            assert gray_ordering(m).perm == tuple(i ^ (i >> 1) for i in j)
 
 
 class TestRunProfile:
@@ -104,6 +128,22 @@ class TestRunProfile:
         for bad in (-1, 8, 9, 1 << 70):
             with pytest.raises(ValueError, match="outside"):
                 run_profile({0, bad}, lexicographic_ordering(3), RllSpec(1))
+        for arr in (np.array([0, -1]), np.array([0, 8]), np.array([8], np.uint64)):
+            with pytest.raises(ValueError, match="outside"):
+                run_profile(arr, lexicographic_ordering(3), RllSpec(1))
+
+    def test_array_slice_matches_tuple_and_scan(self):
+        # verify-lemmas passes slices of one weight-order array
+        for m in range(1, 9):
+            order = information_points(m, m)
+            positions = np.array(order)
+            for ordering in (lexicographic_ordering(m), gray_ordering(m), sample_permutation(m, m)):
+                for k in (0, 1, m + 1, (1 << m) - 1, 1 << m):
+                    d = k % 3
+                    prof = run_profile(positions[:k], ordering, RllSpec(d))
+                    assert prof == run_profile(order[:k], ordering, RllSpec(d))
+                    want = run_scan(order[:k], ordering.perm, d)
+                    assert (prof.runs, prof.bounded_runs, prof.tuple_count, prof.size) == want
 
     def test_positions_match_perm(self):
         ordering = sample_permutation(4, 5)

@@ -6,6 +6,8 @@ import pytest
 from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.rm import (
     RmCode,
+    _dimension,
+    _variable_patterns,
     _weight_order_monomials,
     complement_basis,
     eval_monomial,
@@ -14,7 +16,13 @@ from rmrll.rm import (
     select_order,
 )
 
-from oracles import eval_monomial_pointwise, min_nonzero_weight, numpy_rank, weight_order
+from oracles import (
+    eval_monomial_pointwise,
+    min_nonzero_weight,
+    numpy_rank,
+    variable_patterns_by_blocks,
+    weight_order,
+)
 
 
 class TestPoints:
@@ -39,6 +47,16 @@ class TestEvalMonomial:
             word = eval_monomial(m, variables)
             for i in range(1 << m):
                 assert word[i] == eval_monomial_pointwise(m, variables, i)
+
+    def test_variable_patterns_closed_form(self):
+        # pointwise for small m, and the block loop it replaced up to m = 12
+        for m in range(1, 13):
+            patterns = _variable_patterns(m)
+            assert patterns == variable_patterns_by_blocks(m)
+            if m <= 8:
+                for j, pattern in enumerate(patterns, 1):
+                    want = [eval_monomial_pointwise(m, [j], i) for i in range(1 << m)]
+                    assert [pattern >> i & 1 for i in range(1 << m)] == want
 
     def test_empty_product_is_all_ones(self):
         assert eval_monomial(3, ()) == BitWord(0xFF, 8)
@@ -109,10 +127,12 @@ class TestInformationSet:
         ]
 
     def test_points_are_a_prefix_of_the_weight_order(self):
-        for m in range(1, 9):
-            assert list(information_points(m, m)) == weight_order(m)
+        for m in range(1, 11):
+            order = weight_order(m)
             for r in range(m + 1):
-                assert information_points(m, r) == information_points(m, m)[: RmCode(m, r).k]
+                points = information_points(m, r)
+                assert points == tuple(order[: _dimension(m, r)])
+                assert all(type(a) is int for a in points)
 
     def test_columns_have_full_rank(self):
         for m in range(1, 9):
