@@ -381,7 +381,7 @@ def cmd_perm_sweep(p: dict) -> tuple[list[str], int]:
             f"{m},{r},{d},sampled,{p['seed']}:{s.index},{exp.k},{s.run_count},"
             f"{s.bounded_runs},{s.tuple_count},{_fmt(s.rate_bound)}"
         )
-    reference = (exp.k / (1 << m)) / (d + 1) + 0.05
+    reference = exp.k / ((d + 1) << m) + 0.05
     above = sum(1 for s in exp.samples if s.rate_bound > reference)
     lines.append(f"# mean_bound={_fmt(exp.mean_bound)}")
     lines.append(f"# max_bound={_fmt(exp.max_bound)}")

@@ -16,6 +16,7 @@ exactly and prefix coordinates carry the channel observation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,7 @@ from .rll import (
     noiseless_capacity,
     payload_bits,
 )
-from .rm import RmCode, _dimension, select_order, systematic_generator
+from .rm import RmCode, _dimension, _superset_sums, select_order, systematic_generator
 from .subcodes import RllSubcode, build_subcode
 
 __all__ = [
@@ -60,12 +61,11 @@ BSC_MAX_INNER_DIM = 16
 class InnerMaps:
     """The inner code's maps for decoding and encoding.
 
-    ``rref`` is the reduced row-echelon form R of the inner generator G
-    and ``pivots`` its pivot columns, ascending.  With G_P the columns
-    of G at the pivots, R = G_P^-1 G, so the codeword u G carries
-    v = u G_P at the pivots and equals v R.  ``codeword`` maps u to
-    u G and ``message`` maps v back to u = v G_P^-1, each one table
-    lookup per byte of its input.
+    ``rref`` is the reduced row-echelon form R of the inner generator G,
+    ``pivots`` its pivot columns, ascending (the ``rm`` transform).  With
+    G_P the columns of G at the pivots, R = G_P^-1 G, so u G carries
+    v = u G_P at the pivots and equals v R.  ``codeword`` maps u to u G
+    and ``message`` v back to u = v G_P^-1, one table lookup per byte.
     """
 
     pivots: np.ndarray
@@ -137,16 +137,17 @@ class CosetPlan:
     def inner_maps(self) -> InnerMaps:
         """Pivots and byte tables of the inner code, built on first use."""
         gen = self.inner.gen
-        rref, pivots = gen.rref()
-        # row j of G_P^-1 combines the rows of G into row j of the rref
-        to_message = [
-            gen.solve_right(BitWord(row, gen.ncols)).vector.value for row in rref.row_values
-        ]
+        rows = {(row & -row).bit_length() - 1: row for row in gen.row_values}  # x_T by T
+        combos = {a: 1 << i for i, a in enumerate(rows)}  # sums to the G_P^-1 rows
+        lower = [a for a in rows if a.bit_count() < self.inner_order]
+        for table in (rows, combos):
+            _superset_sums(table, lower, self.inner.parent.m)
+        pivots = sorted(rows)
         return InnerMaps(
             pivots=np.array(pivots, dtype=np.intp),
-            rref=rref,
+            rref=BinaryMatrix._trusted([rows[a] for a in pivots], gen.ncols),
             to_codeword=_byte_tables(gen.row_values),
-            to_message=_byte_tables(to_message),
+            to_message=_byte_tables([combos[a] for a in pivots]),
         )
 
     @cached_property
@@ -433,7 +434,7 @@ def coset_rate_lower_bound(
         channel_capacity * channel_capacity * scale
         + 1.0
         - channel_capacity
-        + 2.0 ** (-part_exponent)
+        + math.ldexp(1.0, -part_exponent)  # 0.0 for any huge exponent
     )
     return num / den
 

@@ -125,7 +125,7 @@ def run_profile(info_set: Iterable[int], ordering: Ordering, spec: RllSpec) -> R
     lengths = stops - starts
     runs = tuple(zip(starts.tolist(), lengths.tolist()))
     bounded = len(runs) - int(flags[-2])  # less a run ending at the last position
-    t = int((lengths // (spec.d + 1)).sum())
+    t = int((lengths // (min(spec.d, n) + 1)).sum())  # runs are at most n long
     return RunProfile(runs, bounded, t, int(np.count_nonzero(inset)))
 
 

@@ -126,6 +126,7 @@ def noiseless_capacity(spec: RllSpec, tol: float = 1e-12) -> float:
     d = spec.d
     if d == 0:
         return 1.0
+    d = min(d, 2**1023)  # fits a float; all roots from 2**1023 on are within 1e-305 of 1
     root = _bisect(lambda x: d * math.log(x) + math.log(x - 1) < 0, 1.0, 2.0, tol)
     return math.log2(root)
 

@@ -9,20 +9,20 @@ of that of RM(m, m) and ``complement_basis`` holds the rest.
 
 Write x_T for the monomial on the variables that are 1 at the point T,
 and a <= b when the support of point a lies in that of point b, so
-x_T(b) = 1 exactly when T <= b.  The k points of weight at most r, the
-information set, come first in the weight order (``information_points``).
-The systematic generator [I | P] of RM(m, r) on that column order has
-one row for each information point a,
-
-    R_a = sum of x_T over the points T >= a of weight at most r.
-
-Proof that R_a is 1 at a and 0 at every other information point b: the
-sum at b counts the T with a <= T <= b, all of weight at most |b| <= r.
-There are 2**(|b| - |a|) of them when a <= b and none otherwise, an odd
-number exactly when b = a.  ``systematic_generator`` evaluates each x_T
-with one AND (``_weight_order_monomials``) and sums over supersets by a
-superset-sum (zeta) transform, one XOR for each information point T of
-weight below r and each 0 bit of T, with no elimination.
+x_T(b) = 1 exactly when T <= b.  Both systematic forms in the library
+come from one superset-sum (zeta) transform, ``_superset_sums``, with no
+elimination.  Let F be a family of points closed under dropping a bit
+down to its members (a <= T <= b with a, b in F puts T in F).  The row
+R_a, the sum of x_T over the T >= a in F, is 1 at a and 0 at every
+other b in F: the sum at b counts the T with a <= T <= b, all in F, and
+there are 2**(|b| - |a|) of them when a <= b and none otherwise, an odd
+number exactly when b = a.  The R_a over the points of weight <= r,
+which come first in the weight order (``information_points``), are
+[I | P] of RM(m, r) on that column order (``systematic_generator``).
+For an inner subcode's anchored family {A | S} each x_T is 0 below the
+index T, so the R_a by ascending a are its generator's reduced
+row-echelon form, pivots at F (``coset.CosetPlan.inner_maps``).  Both
+forms are unique, so they equal elimination's result bit for bit.
 
 In the weight order the monomials x_T, listed by T in that order, put
 RM(m, r)'s generator in the first k rows and its information set in the
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -152,10 +152,6 @@ class RmCode:
     def __repr__(self) -> str:
         return f"RmCode(m={self.m}, r={self.r})"
 
-    def encode(self, u: BitWord) -> BitWord:
-        """Codeword for message u (coefficients in generator row order)."""
-        return self.gen.vecmat(u)
-
     def information_set(self) -> frozenset[int]:
         """The ``information_points`` of the code, where systematic
         encoding can pin the message bits."""
@@ -183,6 +179,16 @@ def _weight_order_monomials(m: int, order: tuple[int, ...], count: int) -> dict[
     return rows
 
 
+def _superset_sums(rows: dict[int, int], lower: Sequence[int], m: int) -> None:
+    """Replace rows[a] by the XOR of rows[T] over the keys T >= a, in place,
+    bit by bit over m bits.  The keys must be closed under dropping a bit
+    down to a key, and ``lower`` must list each key one bit below another."""
+    for bit in (1 << b for b in range(m)):
+        for a in lower:
+            if not a & bit and (above := rows.get(a | bit)) is not None:
+                rows[a] ^= above
+
+
 def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]:
     """The systematic generator [I | P] of RM(m, r) and its column order.
 
@@ -194,12 +200,7 @@ def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]
     k = _dimension(m, r)
     order = information_points(m, m)
     rows = _weight_order_monomials(m, order, k)
-    lower = order[: k - math.comb(m, r)]  # weight below r
-    for b in range(m):
-        bit = 1 << b
-        for a in lower:
-            if not a & bit:
-                rows[a] ^= rows[a | bit]
+    _superset_sums(rows, order[: k - math.comb(m, r)], m)  # weight below r
     return BinaryMatrix._trusted(rows.values(), 1 << m), order
 
 

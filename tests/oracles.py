@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive and written against plain numpy
 arrays / Python lists, sharing no code paths with the package, so a bug
-in the packed-integer implementations cannot hide in its own test.
+in the packed-integer implementations cannot hide in its own test.  The
+one exception, ``eliminated_inner_maps``, keeps the package's own
+elimination as the reference for the transform that replaced it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from rmrll.gf2 import BitWord
 
 
 def numpy_rank(matrix: np.ndarray) -> int:
@@ -74,6 +78,19 @@ def column_scan_rref(rows, ncols: int) -> tuple[tuple[int, ...], tuple[int, ...]
         if pr == len(rows):
             break
     return tuple(rows), tuple(pivots)
+
+
+def eliminated_inner_maps(gen) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Pivots, rref rows and rows of G_P^-1 of a full-rank BinaryMatrix
+    G, by elimination: ``rref``, then one ``solve_right`` per rref row for
+    the combination of G's rows that gives it.  The construction the
+    inner code's maps had before the superset-sum transform, kept as its
+    reference; ``rref`` itself is pinned to ``column_scan_rref``."""
+    rref, pivots = gen.rref()
+    combos = tuple(
+        gen.solve_right(BitWord(row, gen.ncols)).vector.value for row in rref.row_values
+    )
+    return pivots, rref.row_values, combos
 
 
 def per_bit_gather(rows, cols) -> tuple[int, ...]:

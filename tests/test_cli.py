@@ -237,6 +237,16 @@ class TestRateCurves:
         assert code == 0
         assert len(body_lines(text)) == 1 + 10
 
+    def test_integers_beyond_float_range_run(self, tmp_path):
+        # 10**400 converts to no float; 2**-1100 already rounds to 0.0
+        code, text = run(tmp_path, "rate-curves", "--d", str(10**400), "--grid", "0.1")
+        assert code == 0
+        assert len(body_lines(text)) == 1 + 10
+        argv = ["rate-curves", "--d", "1", "--grid", "0.1", "--part-exponent"]
+        code, text = run(tmp_path, *argv, str(10**400))
+        assert code == 0
+        assert body_lines(text) == body_lines(run(tmp_path, *argv, "1100")[1])
+
 
 class TestVerifyLemmas:
     def test_passes_small(self, tmp_path):
@@ -603,6 +613,16 @@ class TestCrossover:
         assert code == 0
         assert "capacity_crossover=" in text
 
+    def test_integers_beyond_float_range_run(self, tmp_path):
+        code, text = run(tmp_path, "crossover", "--d", str(10**400))
+        assert code == 0
+        assert "crossover=none" in text  # the subcode bound 2**-1329 is 0.0
+        code, text = run(tmp_path, "crossover", "--d", "1", "--part-exponent", str(10**400))
+        assert code == 0
+        assert body_lines(text) == body_lines(
+            run(tmp_path, "crossover", "--d", "1", "--part-exponent", "1100")[1]
+        )
+
     def test_tolerance_below_float_spacing_terminates(self, tmp_path):
         # no float bracket around 0.76 is 1e-300 wide; bisection stops
         # once its ends are adjacent floats
@@ -632,6 +652,16 @@ class TestPermSweep:
         _, first = run(tmp_path, *argv)
         _, second = run(tmp_path, *argv)
         assert first == second
+
+    def test_gap_beyond_int64_runs(self, tmp_path):
+        # runs are at most 2**m long, so any d >= 2**m counts no tuples
+        argv = ["perm-sweep", "--m", "3", "--r", "1", "--samples", "2", "--seed", "1"]
+        rows = {}  # each output with its d replaced
+        for d in (2**63 - 2, 2**63 - 1, 10**400):
+            code, text = run(tmp_path, *argv, "--d", str(d))
+            assert code == 0
+            rows[d] = text.replace(str(d), "d")
+        assert rows[2**63 - 2] == rows[2**63 - 1] == rows[10**400]
 
     def test_m_guard(self, tmp_path, capsys):
         code, _ = run(

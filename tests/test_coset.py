@@ -18,7 +18,7 @@ from rmrll.coset import (
     decode,
     encode,
 )
-from rmrll.gf2 import BinaryMatrix, BitWord
+from rmrll.gf2 import BinaryMatrix, BitWord, _byte_tables
 from rmrll.rll import (
     RllSpec,
     enumerative_decode,
@@ -28,7 +28,7 @@ from rmrll.rll import (
 )
 from rmrll.rm import RmCode, select_order
 
-from oracles import column_scan_rref, per_bit_gather, weight_order
+from oracles import column_scan_rref, eliminated_inner_maps, per_bit_gather, weight_order
 
 
 def observe(word, flips=(), erasures=()):
@@ -182,6 +182,34 @@ class TestBuildPlan:
             plan = build_plan(m, r, RllSpec(1), m - 3)
             assert pivots == tuple(range(plan.k))
             assert plan.outer_gen == want
+
+    def test_inner_maps_match_elimination(self):
+        # every inner code of exponent n <= 8 for d <= 3 and every inner
+        # order; part exponent 1 gives n = m - 1 + z
+        codes = 0
+        for d in range(4):
+            z = RllSpec(d).anchor_count
+            for n in range(max(1, z), 9):
+                for inner_order in range(z, n + 1):
+                    plan = build_plan(n + 1 - z, 0, RllSpec(d), 1, inner_order)
+                    maps = plan.inner_maps
+                    pivots, rref, combos = eliminated_inner_maps(plan.inner.gen)
+                    assert maps.pivots.tolist() == list(pivots)
+                    assert maps.rref.row_values == rref
+                    assert maps.to_message == _byte_tables(combos)
+                    assert maps.to_codeword == _byte_tables(plan.inner.gen.row_values)
+                    codes += 1
+        assert codes == 136
+
+    def test_inner_maps_need_no_elimination(self, monkeypatch):
+        def eliminate(*args, **kwargs):
+            raise AssertionError("inner maps eliminated")
+
+        plan = build_plan(6, 3, RllSpec(3), 2, 5)  # inner dimension 15
+        monkeypatch.setattr(BinaryMatrix, "rref", eliminate)
+        monkeypatch.setattr(BinaryMatrix, "solve_right", eliminate)
+        assert plan.inner_maps.pivots.size == plan.inner.k
+        assert len(plan.inner_codebook) == 1 << plan.inner.k
 
     def test_tail_rank_is_min_of_prefix_and_tail_length(self):
         # rank(P) = min(k, n - k) for every RM(m, r)

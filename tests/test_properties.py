@@ -8,7 +8,9 @@ checked against the numpy rank and RREF oracles, on small square-ish
 matrices and on wide ones of up to 40 x 200, and the word-parallel gap
 check against the direct definition on words of up to 4096 bits.  The
 systematic outer generator of a coset plan is checked, un-permuted,
-against the dual code built pointwise, without row reduction.  The
+against the dual code built pointwise, without row reduction, and the
+superset-sum transform behind it against its defining sum on random
+families of points closed under dropping a bit.  The
 numpy word kernels (``vecmat``, ``support``) and the row- and
 column-masked solve are checked against plain bit lists and the numpy
 rank oracle, and ``leading_ranks`` against the rank oracle on every
@@ -37,7 +39,7 @@ from rmrll.rll import (
     enumerative_encode,
     is_constrained_value,
 )
-from rmrll.rm import RmCode, complement_basis, eval_monomial
+from rmrll.rm import RmCode, _superset_sums, complement_basis, eval_monomial
 from rmrll.subcodes import build_subcode
 
 from oracles import eval_monomial_pointwise, gap_ok, numpy_rank, numpy_rref
@@ -140,6 +142,31 @@ class TestSystematicOuterGenerator:
             assert row & ((1 << plan.k) - 1) == 1 << i
             natural = sum(1 << perm[c] for c in range(n) if row >> c & 1)
             assert all((natural & g).bit_count() % 2 == 0 for g in dual)
+
+
+@st.composite
+def point_families(draw):
+    """Random values on a family of points of at most 6 bits closed under
+    dropping a bit down to its members: the subsets of a few drawn
+    points, each joined with one drawn anchor point."""
+    m = draw(st.integers(1, 6))
+    point = st.integers(0, (1 << m) - 1)
+    anchor = draw(point)
+    tops = draw(st.lists(point, min_size=1, max_size=4))
+    family = sorted({anchor | s for t in tops for s in range(1 << m) if s & t == s})
+    values = draw(st.lists(st.integers(0, 255), min_size=len(family), max_size=len(family)))
+    return m, dict(zip(family, values))
+
+
+class TestSupersetSums:
+    @bounded
+    @given(point_families())
+    def test_matches_defining_sum(self, case):
+        m, rows = case
+        want = {a: reduce(xor, (v for t, v in rows.items() if t & a == a)) for a in rows}
+        lower = [a for a in rows if any(a | 1 << b in rows for b in range(m) if not a >> b & 1)]
+        _superset_sums(rows, lower, m)
+        assert rows == want
 
 
 class TestEnumerativeBijection:

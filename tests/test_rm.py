@@ -94,7 +94,7 @@ class TestRmCode:
         code = RmCode(2, 1)
         u = BitWord.from_string("101")
         want = code.gen.row_values[0] ^ code.gen.row_values[2]
-        assert code.encode(u).value == want
+        assert code.gen.vecmat(u).value == want
 
     def test_minimum_distance_small_codes(self):
         for m in range(1, 5):
