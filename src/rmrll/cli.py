@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .coset import (
     decode,
     encode,
 )
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, _pack_bits, _row_basis
 from .ordering import (
+    bounded_run_counts,
     gray_ordering,
     lex_run_count,
     lexicographic_ordering,
@@ -42,7 +43,14 @@ from .ordering import (
     subcode_dimension_bound,
 )
 from .rll import RllSpec, noiseless_capacity
-from .rm import RmCode, _dimension, _weight_order_monomials, complement_basis, information_points
+from .rm import (
+    RmCode,
+    _dimension,
+    _point_weights,
+    _weight_order_monomials,
+    complement_basis,
+    information_points,
+)
 from .subcodes import ORACLE_MAX_DIM, build_subcode, largest_linear_rll_subcode
 
 __all__ = ["main", "lemma_checks"]
@@ -76,9 +84,11 @@ class Opt:
 @dataclass(frozen=True)
 class Command:
     """One subcommand: its runner, help text and options.  A runner maps
-    the resolved options to (output lines, exit status)."""
+    the resolved options to (output lines, exit status).  It checks the
+    options before it returns, and may return the lines as an iterator,
+    which is written as it makes them."""
 
-    run: Callable[..., tuple[list[str], int]]
+    run: Callable[..., tuple[Iterable[str], int]]
     help: str
     opts: tuple[Opt, ...]
 
@@ -140,24 +150,28 @@ def _header(command: str, params: dict, out_path: str) -> list[str]:
     return lines
 
 
-def _emit(out_path: str, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(out_path: str, lines: Iterable[str]) -> None:
+    # joined 1,024 lines at a time: a write per line is slow on an
+    # unbuffered stdout (PYTHONUNBUFFERED)
+    rows = iter(lines)
+    text = iter(lambda: "".join(line + "\n" for line in islice(rows, 1024)), "")
     if out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(text)
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from exc
 
 
-# rate-curves builds every row before printing one: 10**6 rows took 4 s
-# and peaked near 200 MiB on one core of a 2-vCPU host, Python 3.11.
+# rate-curves writes each row as it makes it, so memory stays flat; the
+# cap bounds the run time: 10**6 rows take 2-4 s on one core of a
+# 2-vCPU host, Python 3.11.
 MAX_GRID_ROWS = 10**6
 
 
-def cmd_rate_curves(p: dict) -> tuple[list[str], int]:
+def cmd_rate_curves(p: dict) -> tuple[Iterator[str], int]:
     if p["d"] < 0:
         raise UsageError("d must be nonnegative")
     if p["part_exponent"] < 1:
@@ -171,16 +185,17 @@ def cmd_rate_curves(p: dict) -> tuple[list[str], int]:
     spec = RllSpec(p["d"])
     c0 = noiseless_capacity(spec)
     scale = 2.0 ** (-spec.anchor_count)
-    lines = ["capacity,subcode_bound,coset_bound,coset_averaging_bound"]
     steps = int(1.0 / p["grid"] + 1e-9)
-    for k in range(1, steps + 1):
-        c = min(k * p["grid"], 1.0)
-        coset = coset_rate_lower_bound(c0, c, spec, p["part_exponent"])
-        averaging = max(0.0, c0 + c - 1.0)
-        lines.append(
-            f"{_fmt(c)},{_fmt(c * scale)},{_fmt(coset)},{_fmt(averaging)}"
-        )
-    return lines, EXIT_OK
+
+    def rows() -> Iterator[str]:
+        yield "capacity,subcode_bound,coset_bound,coset_averaging_bound"
+        for k in range(1, steps + 1):
+            c = min(k * p["grid"], 1.0)
+            coset = coset_rate_lower_bound(c0, c, spec, p["part_exponent"])
+            averaging = max(0.0, c0 + c - 1.0)
+            yield f"{_fmt(c)},{_fmt(c * scale)},{_fmt(coset)},{_fmt(averaging)}"
+
+    return rows(), EXIT_OK
 
 
 LEMMA_M = 12  # the run checks cover every m up to it, whatever m_max
@@ -191,31 +206,60 @@ def _check_m_max(m_max: int) -> None:
         raise ValueError(f"m-max must lie in 1..{LEMMA_M}")
 
 
+def _complement_ranks(m: int) -> tuple[tuple[int, ...], bool]:
+    """The rank of ``complement_basis(m, r)`` for each r in 0..m, and
+    whether its rows fit: there are 2**m - 1 of them and each vanishes
+    on the points of weight below its degree.
+
+    ``complement_basis(m, r)`` is the last 2**m - k_r rows of
+    ``complement_basis(m, 0)``, the monomials by ascending degree, so one
+    basis read after each degree, from the top down, gives every rank.
+    A row of degree j is in it for each r < j, so vanishing on the
+    weight-<=r information set for all of them is vanishing below j.
+    """
+    n = 1 << m
+    weights = _point_weights(m)
+    ks = [_dimension(m, r) for r in range(m + 1)]
+    rows = complement_basis(m, 0).row_values
+    fits = len(rows) == n - 1
+    basis: dict[int, int] = {}
+    ranks = [0]  # r = m: no rows
+    for j in range(m, 0, -1):
+        degree_j = rows[ks[j - 1] - 1 : ks[j] - 1]
+        below = _pack_bits(weights < j)
+        fits &= not any(row & below for row in degree_j)
+        _row_basis(degree_j, n, basis)
+        ranks.append(len(basis))
+    return tuple(reversed(ranks)), fits
+
+
 def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     """Structural verification report.  Raises ValueError for m_max
     outside 1..12.
 
-    Each m's work is done once.  The points in weight order are taken
-    once, and copied once into an index array whose slices every run
-    scan reads; ``information_points(m, r)`` is their first k.  Evaluated in
-    that column order, the first k of all 2**m monomials (by weight) are
-    RM(m, r)'s generator and the first k columns its information set,
-    so one elimination (``leading_ranks``) checks every r.
+    Each m's work is done once for every r.  Evaluated in the column
+    order of ``information_points(m, m)``, the first k of all 2**m
+    monomials (by weight) are RM(m, r)'s generator and the first k
+    columns its information set, so one elimination (``leading_ranks``)
+    checks every rank; the point weights along that order check that it
+    is the weight order.  One basis built from the top degree down gives
+    every complement rank (``_complement_ranks``), and one scan of the
+    point weights per ordering every bounded-run count
+    (``bounded_run_counts``).
     """
     _check_m_max(m_max)
     rank_lines, span_lines, run_lines = [], [], []
     all_ok = True
-    spec = RllSpec(1)  # run structure does not depend on d
     for m in range(1, LEMMA_M + 1):
         n = 1 << m
-        order = information_points(m, m)
         ks = [_dimension(m, r) for r in range(m + 1)]
 
         if m <= m_max:
-            weights = [a.bit_count() for a in order]
+            weights = _point_weights(m)
+            order = information_points(m, m)
             monomials = BinaryMatrix._trusted(_weight_order_monomials(m, order, n).values(), n)
-            ok = monomials.leading_ranks(ks) == tuple(ks) and all(
-                bisect_right(weights, r) == k for r, k in enumerate(ks)
+            ok = monomials.leading_ranks(ks) == tuple(ks) and np.array_equal(
+                weights[np.fromiter(order, np.intp)], np.sort(weights)
             )
             rank_lines.append(f"check=info-set-rank m={m} status={'ok' if ok else 'FAIL'}")
             all_ok &= ok
@@ -223,27 +267,15 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
         if m <= min(m_max, 8):
             # rows that vanish on the information set, with rank the
             # number of points off it, span exactly the unit vectors there
-            ok = True
-            for r, k in enumerate(ks):
-                basis = complement_basis(m, r)
-                info = sum(1 << a for a in order[:k])
-                ok &= (
-                    basis.nrows == n - k
-                    and basis.rank() == n - k
-                    and not any(row & info for row in basis.row_values)
-                )
+            ranks, fits = _complement_ranks(m)
+            ok = fits and ranks == tuple(n - k for k in ks)
             span_lines.append(f"check=complement-span m={m} status={'ok' if ok else 'FAIL'}")
             all_ok &= ok
 
-        positions = np.fromiter(order, np.intp)  # sliced for every run scan
-        lex = lexicographic_ordering(m)
-        gray = gray_ordering(m)
-        ok_lex = ok_gray = True
-        for r, k in enumerate(ks[:-1]):
-            if run_profile(positions[:k], lex, spec).bounded_runs != lex_run_count(m, r):
-                ok_lex = False
-            if run_profile(positions[:k], gray, spec).bounded_runs > comb(m, r + 1):
-                ok_gray = False
+        lex = bounded_run_counts(lexicographic_ordering(m))
+        gray = bounded_run_counts(gray_ordering(m))
+        ok_lex = lex == tuple(lex_run_count(m, r) for r in range(m))
+        ok_gray = all(runs <= comb(m, r + 1) for r, runs in enumerate(gray))
         run_lines.append(f"check=lex-run-count m={m} status={'ok' if ok_lex else 'FAIL'}")
         run_lines.append(f"check=gray-run-bound m={m} status={'ok' if ok_gray else 'FAIL'}")
         all_ok &= ok_lex and ok_gray
@@ -520,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _resolve(args, cmd.opts)
         body, status = cmd.run(params)
-        _emit(args.out, _header(args.command, params, args.out) + body)
+        _emit(args.out, chain(_header(args.command, params, args.out), body))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

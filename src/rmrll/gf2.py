@@ -24,7 +24,7 @@ docstring).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -327,16 +327,22 @@ class BinaryMatrix:
         width while its lowest bit lies in the window; once that bit
         leaves the window the masked row is zero.  So the masked rows
         give the masked basis entries with a pivot in the window, and no
-        others.
+        others.  Each pivot is marked as it enters (the basis dict keeps
+        insertion order, so the newest keys are its last ones), and the
+        marks in the window are counted.
         """
         basis: dict[int, int] = {}
+        pivots = bytearray(self._ncols + 1)  # 1 at each basis key
         done, out = 0, []
         for s in sizes:
             if not done <= s <= min(len(self._rows), self._ncols):
                 raise ValueError("sizes must ascend within the row and column counts")
+            before = len(basis)
             _row_basis(self._rows[done:s], self._ncols, basis)
+            for lead in islice(reversed(basis), len(basis) - before):
+                pivots[lead] = 1
             done = s
-            out.append(bisect_right(sorted(basis), s))  # pivots in the window
+            out.append(pivots.count(1, 0, s + 1))  # pivots in the window
         return tuple(out)
 
     def rref(self) -> tuple["BinaryMatrix", tuple[int, ...]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gf2 import _index_array
 from .rll import RllSpec
-from .rm import RmCode
+from .rm import RmCode, _point_weights
 
 __all__ = [
     "Ordering",
@@ -27,6 +27,7 @@ __all__ = [
     "sample_permutation",
     "RunProfile",
     "run_profile",
+    "bounded_run_counts",
     "lex_run_count",
     "subcode_dimension_bound",
     "asymptotic_linear_bound",
@@ -127,6 +128,26 @@ def run_profile(info_set: Iterable[int], ordering: Ordering, spec: RllSpec) -> R
     bounded = len(runs) - int(flags[-2])  # less a run ending at the last position
     t = int((lengths // (min(spec.d, n) + 1)).sum())  # runs are at most n long
     return RunProfile(runs, bounded, t, int(np.count_nonzero(inset)))
+
+
+def bounded_run_counts(ordering: Ordering) -> tuple[int, ...]:
+    """The ``bounded_runs`` of the weight-<=r point set (RM(m, r)'s
+    information set) under ``ordering``, for every r in 0..m-1, from one
+    scan of the point weights along it, w[j] = wt(perm[j]).
+
+    A run of the set is bounded when its last position j has a
+    successor, which is then outside the set: w[j] <= r < w[j+1].  So
+    each position j with w[j] <= r < w[j+1] ends exactly one bounded run,
+    and the count for r is the number of rising steps w[j] < w[j+1] with
+    w[j] <= r, less those with w[j+1] <= r: two ``bincount``s of the
+    rising steps' ends and a ``cumsum``.
+    """
+    m = ordering.m
+    w = _point_weights(m)[ordering.positions]
+    rising = w[:-1] < w[1:]
+    low = np.bincount(w[:-1][rising], minlength=m + 1)
+    high = np.bincount(w[1:][rising], minlength=m + 1)
+    return tuple(np.cumsum(low[:m] - high[:m]).tolist())
 
 
 def lex_run_count(m: int, r: int) -> int:

@@ -10,6 +10,7 @@ constrained words in lexicographic order (coordinate 0 leftmost, 0 < 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .gf2 import BitWord
@@ -118,17 +119,26 @@ def _bisect(below, lo: float, hi: float, tol: float) -> float:
 def noiseless_capacity(spec: RllSpec, tol: float = 1e-12) -> float:
     """log2 of the growth rate of the constrained-word count.
 
-    The growth rate is the unique root in [1, 2] of x**(d+1) = x**d + 1,
-    found by bisection to ``tol`` on the equivalent, overflow-free test
-    d*log(x) + log(x - 1) < 0.  d = 0 is unconstrained and returns 1.0
-    exactly.
+    The growth rate is the unique root x = 1 + delta in [1, 2] of
+    x**(d+1) = x**d + 1, that is of the increasing, overflow-free
+    d*log1p(delta) + log(delta) = 0.  The root is found by bisection on
+    log(delta) to ``tol``, so delta, and the returned log1p(delta) / log(2),
+    carry a relative error of about ``tol`` however small delta is (about
+    ln(d)/d for large d).  d = 0 is unconstrained and returns 1.0 exactly.
+
+    The bracket's low end is the smallest normal float, where the test
+    is negative while d <= 2**1023.  Larger d are capped at 2**1023,
+    which still fits a float; the capacity falls with d, so the value
+    there, about 1.1e-305, bounds theirs from above.
     """
     d = spec.d
     if d == 0:
         return 1.0
-    d = min(d, 2**1023)  # fits a float; all roots from 2**1023 on are within 1e-305 of 1
-    root = _bisect(lambda x: d * math.log(x) + math.log(x - 1) < 0, 1.0, 2.0, tol)
-    return math.log2(root)
+    d = min(d, 2**1023)
+    log_delta = _bisect(
+        lambda u: d * math.log1p(math.exp(u)) + u < 0, math.log(sys.float_info.min), 0.0, tol
+    )
+    return math.log1p(math.exp(log_delta)) / math.log(2)
 
 
 def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:

@@ -118,6 +118,15 @@ def _dimension(m: int, r: int) -> int:
     return sum(math.comb(m, i) for i in range(r + 1))
 
 
+def _point_weights(m: int) -> np.ndarray:
+    """Weight of every point index in [0, 2**m), by m doubling steps: the
+    points in [2**b, 2**(b+1)) weigh one more than those below 2**b."""
+    weights = np.zeros(1 << m, np.int8)
+    for b in range(m):
+        np.add(weights[: 1 << b], 1, out=weights[1 << b : 2 << b])
+    return weights
+
+
 def information_points(m: int, r: int) -> tuple[int, ...]:
     """Point indices of weight at most r, by ascending weight, then index.
 
@@ -126,14 +135,10 @@ def information_points(m: int, r: int) -> tuple[int, ...]:
     r = m they are every point, in the column order of
     ``systematic_generator``.
 
-    Built in numpy: the weights of all points by m doubling steps (the
-    points in [2**b, 2**(b+1)) weigh one more than those below 2**b),
-    then the points of each weight by ``nonzero``, which keeps them in
-    index order.
+    Built in numpy from the ``_point_weights``: the points of each weight
+    by ``nonzero``, which keeps them in index order.
     """
-    weights = np.zeros(1 << m, np.int8)
-    for b in range(m):
-        np.add(weights[: 1 << b], 1, out=weights[1 << b : 2 << b])
+    weights = _point_weights(m)
     by_weight = [(weights == w).nonzero()[0] for w in range(min(r, m) + 1)]
     return tuple(np.concatenate(by_weight).tolist()) if by_weight else ()
 

@@ -3,13 +3,17 @@ import os
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from rmrll import cli
 from rmrll.cli import lemma_checks, main
+from rmrll.coset import coset_rate_lower_bound
 from rmrll.gf2 import BinaryMatrix
+from rmrll.rll import RllSpec, noiseless_capacity
+from rmrll.rm import complement_basis
 
 
 def run(tmp_path, *argv):
@@ -232,6 +236,27 @@ class TestRateCurves:
             err = capsys.readouterr().err
             assert "grid must lie in (0, 0.1] and give at most 1,000,000 rows" in err
 
+    def test_streamed_rows_match_list_built_reference(self, capsys):
+        # the rows as the command built them in one list before streaming
+        spec = RllSpec(1)
+        c0 = noiseless_capacity(spec)
+        want = [
+            "# command=rate-curves", "# d=1", "# grid=0.01", "# part_exponent=50", "# out=-",
+            "capacity,subcode_bound,coset_bound,coset_averaging_bound",
+        ]
+        for k in range(1, 101):
+            c = min(k * 0.01, 1.0)
+            coset = coset_rate_lower_bound(c0, c, spec, 50)
+            want.append(f"{c:.6f},{c / 2:.6f},{coset:.6f},{max(0.0, c0 + c - 1.0):.6f}")
+        assert main(["rate-curves", "--d", "1", "--grid", "0.01"]) == 0
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+    def test_usage_errors_print_nothing(self, capsys):
+        for argv in (["--grid", "1e-7"], ["--part-exponent", "0"], ["--d", "-1"]):
+            assert main(["rate-curves", "--d", "1", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+
     def test_large_gap_runs(self, tmp_path):
         code, text = run(tmp_path, "rate-curves", "--d", "5000", "--grid", "0.1")
         assert code == 0
@@ -299,14 +324,50 @@ class TestVerifyLemmas:
         self.assert_fails(tmp_path, "complement-span")
 
     def test_overcounted_runs_fail(self, tmp_path, monkeypatch):
-        honest = cli.run_profile
+        honest = cli.bounded_run_counts
 
-        def faulty(info, ordering, spec):
-            prof = honest(info, ordering, spec)
-            return dataclasses.replace(prof, bounded_runs=prof.bounded_runs + 1)
+        def faulty(ordering):
+            return tuple(runs + 1 for runs in honest(ordering))
 
-        monkeypatch.setattr(cli, "run_profile", faulty)
+        monkeypatch.setattr(cli, "bounded_run_counts", faulty)
         self.assert_fails(tmp_path, "lex-run-count")
+
+    def test_overcounted_gray_runs_fail(self, tmp_path, monkeypatch):
+        # the lex counts stay honest, so only the Gray bound can fail
+        honest = cli.bounded_run_counts
+
+        def faulty(ordering):
+            runs = honest(ordering)
+            if ordering.kind == "gray":
+                return tuple(comb(ordering.m, r + 1) + 1 for r in range(len(runs)))
+            return runs
+
+        monkeypatch.setattr(cli, "bounded_run_counts", faulty)
+        code, text = run(tmp_path, "verify-lemmas", "--m-max", "2")
+        assert code == 1 and "result=fail" in text
+        assert "check=gray-run-bound m=2 status=FAIL" in text
+        assert "check=lex-run-count m=2 status=ok" in text
+
+    def test_complement_ranks_match_each_basis(self):
+        # one basis from the top degree down gives each complement_basis's rank
+        for m in range(1, 9):
+            ranks, fits = cli._complement_ranks(m)
+            assert fits
+            assert ranks == tuple(complement_basis(m, r).rank() for r in range(m + 1))
+
+    def test_dependent_complement_row_fails(self, tmp_path, monkeypatch):
+        # the top-degree row doubled into the one below it: every row still
+        # vanishes below its degree, so only the ranks can see it
+        honest = cli.complement_basis
+
+        def faulty(m, r):
+            rows = list(honest(m, r).row_values)
+            if len(rows) > 1:
+                rows[-2] = rows[-1]
+            return BinaryMatrix(rows, 1 << m)
+
+        monkeypatch.setattr(cli, "complement_basis", faulty)
+        self.assert_fails(tmp_path, "complement-span")
 
     def test_full_report_pinned(self, capsys):
         assert main(["verify-lemmas", "--m-max", "12"]) == 0
@@ -314,9 +375,10 @@ class TestVerifyLemmas:
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_each_m_work_done_once(self, monkeypatch):
-        calls = {"information_points": [], "leading_ranks": 0}
+        calls = {}
         honest_points = cli.information_points
         honest_ranks = BinaryMatrix.leading_ranks
+        honest_complement = cli.complement_basis
 
         def points(m, r):
             calls["information_points"].append(m)
@@ -326,12 +388,24 @@ class TestVerifyLemmas:
             calls["leading_ranks"] += 1
             return honest_ranks(self, sizes)
 
+        def complement(m, r):
+            calls["complement_basis"].append(m)
+            return honest_complement(m, r)
+
+        def no_run_profile(*args):
+            raise AssertionError("run_profile called")
+
         monkeypatch.setattr(cli, "information_points", points)
         monkeypatch.setattr(BinaryMatrix, "leading_ranks", ranks)
-        lines, ok = lemma_checks(5)
-        assert ok
-        assert sorted(calls["information_points"]) == list(range(1, 13))
-        assert calls["leading_ranks"] == 5
+        monkeypatch.setattr(cli, "complement_basis", complement)
+        monkeypatch.setattr(cli, "run_profile", no_run_profile)
+        for m_max in (5, 10):
+            calls.update(information_points=[], leading_ranks=0, complement_basis=[])
+            lines, ok = lemma_checks(m_max)
+            assert ok
+            assert sorted(calls["information_points"]) == list(range(1, m_max + 1))
+            assert calls["leading_ranks"] == m_max
+            assert sorted(calls["complement_basis"]) == list(range(1, min(m_max, 8) + 1))
 
     def test_m_max_validation(self, tmp_path, capsys):
         for m_max in ("13", "0"):

@@ -6,6 +6,7 @@ import pytest
 from rmrll.ordering import (
     Ordering,
     asymptotic_linear_bound,
+    bounded_run_counts,
     gray_ordering,
     lex_run_count,
     lexicographic_ordering,
@@ -168,6 +169,17 @@ class TestCountsAndBounds:
                 info = frozenset(i for i in range(1 << m) if i.bit_count() <= r)
                 prof = run_profile(info, gray, RllSpec(1))
                 assert prof.bounded_runs <= comb(m, r + 1)
+
+    def test_bounded_run_counts_match_run_profile(self):
+        # one weight scan per ordering equals a run_profile per r
+        for m in range(1, 13):
+            for ordering in (lexicographic_ordering(m), gray_ordering(m)):
+                want = [
+                    run_profile(information_points(m, r), ordering, RllSpec(1)).bounded_runs
+                    for r in range(m)
+                ]
+                assert bounded_run_counts(ordering) == tuple(want)
+        assert bounded_run_counts(lexicographic_ordering(4)) == (1, 3, 3, 1)
 
     def test_lex_run_count_validation(self):
         with pytest.raises(ValueError):

@@ -13,10 +13,11 @@ superset-sum transform behind it against its defining sum on random
 families of points closed under dropping a bit.  The
 numpy word kernels (``vecmat``, ``support``) and the row- and
 column-masked solve are checked against plain bit lists and the numpy
-rank oracle, and ``leading_ranks`` against the rank oracle on every
-leading block.  The command line's table parse of spelled-out flags is
-checked against the full argparse parser on argv mixing each command's
-flags with junk tokens.  Example counts are bounded so the suite stays
+rank oracle, ``leading_ranks`` against the rank oracle on every
+leading block, and the one-scan ``bounded_run_counts`` against
+``run_profile`` on sampled orderings.  The command line's table parse
+of spelled-out flags is checked against the full argparse parser on
+argv mixing each command's flags with junk tokens.  Example counts are bounded so the suite stays
 fast.
 """
 
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 from rmrll import cli
 from rmrll.coset import build_plan
 from rmrll.gf2 import BinaryMatrix, BitWord
+from rmrll.ordering import bounded_run_counts, run_profile, sample_permutation
 from rmrll.rll import (
     RllSpec,
     count_constrained,
@@ -39,7 +41,7 @@ from rmrll.rll import (
     enumerative_encode,
     is_constrained_value,
 )
-from rmrll.rm import RmCode, _superset_sums, complement_basis, eval_monomial
+from rmrll.rm import RmCode, _superset_sums, complement_basis, eval_monomial, information_points
 from rmrll.subcodes import build_subcode
 
 from oracles import eval_monomial_pointwise, gap_ok, numpy_rank, numpy_rref
@@ -345,6 +347,18 @@ class TestLeadingRanks:
         mat, sizes = case
         arr = mat.to_array()
         assert mat.leading_ranks(sizes) == tuple(numpy_rank(arr[:s, :s]) for s in sizes)
+
+
+class TestBoundedRunCounts:
+    @bounded
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_matches_run_profile_on_sampled_orderings(self, m, seed):
+        ordering = sample_permutation(m, seed)
+        want = [
+            run_profile(information_points(m, r), ordering, RllSpec(1)).bounded_runs
+            for r in range(m)
+        ]
+        assert bounded_run_counts(ordering) == tuple(want)
 
 
 @st.composite

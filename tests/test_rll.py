@@ -116,8 +116,11 @@ class TestCapacity:
             assert abs(growth - noiseless_capacity(spec)) < 0.02
 
     def test_decreasing_in_d(self):
-        caps = [noiseless_capacity(RllSpec(d)) for d in range(6)]
-        assert all(a > b for a, b in zip(caps, caps[1:]))
+        gaps = (*range(6), 10, 10**6, 10**10, 10**17, 10**18, 10**300, 2**1023)
+        caps = [noiseless_capacity(RllSpec(d)) for d in gaps]
+        assert all(a > b > 0.0 for a, b in zip(caps, caps[1:]))
+        # beyond the cap the value at 2**1023 bounds the capacity from above
+        assert noiseless_capacity(RllSpec(10**400)) == caps[-1]
 
     def test_zero_tolerance_terminates(self):
         for d in (1, 2, 5000):
@@ -131,6 +134,14 @@ class TestCapacity:
             assert 0.0 < cap < 1.0
             x = 2.0**cap
             assert abs(d * math.log(x) + math.log(x - 1)) < 1e-4
+
+    def test_root_to_relative_accuracy_for_large_gaps(self):
+        # delta = 2**cap - 1 is the root of d*log1p(delta) + log(delta) = 0,
+        # about ln(d)/d, to a relative error near the tolerance
+        for d in (1, 2, 10**6, 10**10, 10**17, 10**300):
+            delta = math.expm1(noiseless_capacity(RllSpec(d)) * math.log(2))
+            residual = d * math.log1p(delta) + math.log(delta)
+            assert abs(residual) <= 1e-10 * abs(math.log(delta)), d
 
 
 class TestEnumerative:

@@ -7,6 +7,7 @@ from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.rm import (
     RmCode,
     _dimension,
+    _point_weights,
     _variable_patterns,
     _weight_order_monomials,
     complement_basis,
@@ -117,6 +118,13 @@ class TestRmCode:
             RmCode(3, 4)
         with pytest.raises(ValueError):
             RmCode(3, -1)
+
+
+class TestPointWeights:
+    def test_weights_are_bit_counts(self):
+        for m in range(13):
+            weights = _point_weights(m)
+            assert weights.tolist() == [i.bit_count() for i in range(1 << m)]
 
 
 class TestInformationSet:
