@@ -32,7 +32,7 @@ from .coset import (
     decode,
     encode,
 )
-from .gf2 import BinaryMatrix, _pack_bits, _row_basis
+from .gf2 import _pack_bits, _row_basis
 from .ordering import (
     bounded_run_counts,
     gray_ordering,
@@ -46,8 +46,8 @@ from .rll import RllSpec, noiseless_capacity
 from .rm import (
     RmCode,
     _dimension,
+    _down_set_columns,
     _point_weights,
-    _weight_order_monomials,
     complement_basis,
     information_points,
 )
@@ -237,29 +237,27 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     """Structural verification report.  Raises ValueError for m_max
     outside 1..12.
 
-    Each m's work is done once for every r.  Evaluated in the column
-    order of ``information_points(m, m)``, the first k of all 2**m
-    monomials (by weight) are RM(m, r)'s generator and the first k
-    columns its information set, so one elimination (``leading_ranks``)
-    checks every rank; the point weights along that order check that it
-    is the weight order.  One basis built from the top degree down gives
-    every complement rank (``_complement_ranks``), and one scan of the
-    point weights per ordering every bounded-run count
-    (``bounded_run_counts``).
+    Each m's work is done once for every r.  With rows and columns in
+    the order of ``information_points(m, m)``, the first k of all 2**m
+    monomials x_a are RM(m, r)'s generator and the first k columns its
+    information set, so one certificate checks every rank: each column's
+    highest 1 (``bit_length`` of ``_down_set_columns``) is on the
+    diagonal; the point weights along that order check that it is the
+    weight order.  One basis built from the top degree down gives every
+    complement rank (``_complement_ranks``), and one scan of the point
+    weights per ordering every bounded-run count (``bounded_run_counts``).
     """
     _check_m_max(m_max)
     rank_lines, span_lines, run_lines = [], [], []
     all_ok = True
     for m in range(1, LEMMA_M + 1):
         n = 1 << m
-        ks = [_dimension(m, r) for r in range(m + 1)]
-
         if m <= m_max:
             weights = _point_weights(m)
-            order = information_points(m, m)
-            monomials = BinaryMatrix._trusted(_weight_order_monomials(m, order, n).values(), n)
-            ok = monomials.leading_ranks(ks) == tuple(ks) and np.array_equal(
-                weights[np.fromiter(order, np.intp)], np.sort(weights)
+            order = np.fromiter(information_points(m, m), np.intp)
+            heights = np.fromiter(map(int.bit_length, _down_set_columns(m, order)), np.intp, n)
+            ok = np.array_equal(heights[order], np.arange(1, n + 1)) and np.array_equal(
+                weights[order], np.sort(weights)
             )
             rank_lines.append(f"check=info-set-rank m={m} status={'ok' if ok else 'FAIL'}")
             all_ok &= ok
@@ -268,7 +266,7 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
             # rows that vanish on the information set, with rank the
             # number of points off it, span exactly the unit vectors there
             ranks, fits = _complement_ranks(m)
-            ok = fits and ranks == tuple(n - k for k in ks)
+            ok = fits and ranks == tuple(n - _dimension(m, r) for r in range(m + 1))
             span_lines.append(f"check=complement-span m={m} status={'ok' if ok else 'FAIL'}")
             all_ok &= ok
 

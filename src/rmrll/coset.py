@@ -34,7 +34,14 @@ from .rll import (
     noiseless_capacity,
     payload_bits,
 )
-from .rm import RmCode, _dimension, _superset_sums, select_order, systematic_generator
+from .rm import (
+    RmCode,
+    _dimension,
+    _superset_sum_masks,
+    _weight_classes,
+    select_order,
+    systematic_generator,
+)
 from .subcodes import RllSubcode, build_subcode
 
 __all__ = [
@@ -62,10 +69,12 @@ class InnerMaps:
     """The inner code's maps for decoding and encoding.
 
     ``rref`` is the reduced row-echelon form R of the inner generator G,
-    ``pivots`` its pivot columns, ascending (the ``rm`` transform).  With
-    G_P the columns of G at the pivots, R = G_P^-1 G, so u G carries
+    ``pivots`` its pivot columns, ascending (the ``rm`` closed form).
+    With G_P the columns of G at the pivots, R = G_P^-1 G, so u G carries
     v = u G_P at the pivots and equals v R.  ``codeword`` maps u to u G
     and ``message`` v back to u = v G_P^-1, one table lookup per byte.
+    G_P is the inclusion matrix [T <= p], its own inverse up to the order
+    of rows (generator order) and columns (by point), which G_P^-1 swaps.
     """
 
     pivots: np.ndarray
@@ -137,17 +146,17 @@ class CosetPlan:
     def inner_maps(self) -> InnerMaps:
         """Pivots and byte tables of the inner code, built on first use."""
         gen = self.inner.gen
-        rows = {(row & -row).bit_length() - 1: row for row in gen.row_values}  # x_T by T
-        combos = {a: 1 << i for i, a in enumerate(rows)}  # sums to the G_P^-1 rows
-        lower = [a for a in rows if a.bit_count() < self.inner_order]
-        for table in (rows, combos):
-            _superset_sums(table, lower, self.inner.parent.m)
-        pivots = sorted(rows)
+        points = [(row & -row).bit_length() - 1 for row in gen.row_values]  # x_T's T
+        masks = _superset_sum_masks(self.inner_order, _weight_classes(self.inner.parent.m))
+        by_point = sorted(range(len(points)), key=points.__getitem__)
+        inclusion = gen.column_submatrix(points).row_values  # its own inverse
         return InnerMaps(
-            pivots=np.array(pivots, dtype=np.intp),
-            rref=BinaryMatrix._trusted([rows[a] for a in pivots], gen.ncols),
+            pivots=np.array([points[i] for i in by_point], dtype=np.intp),
+            rref=BinaryMatrix._trusted(
+                [gen.row_values[i] & masks[points[i].bit_count()] for i in by_point], gen.ncols
+            ),
             to_codeword=_byte_tables(gen.row_values),
-            to_message=_byte_tables([combos[a] for a in pivots]),
+            to_message=_byte_tables([inclusion[i] for i in by_point]),
         )
 
     @cached_property

@@ -17,14 +17,11 @@ Elimination pivots on each row's lowest set bit, its first column.  The
 lowest set bit of a monomial x_S's evaluation is the point whose support
 is S, so every row of a Reed-Muller generator, restricted to the points
 of weight at most r or permuted by point weight, brings its own pivot
-and enters the basis with no XOR.  ``leading_ranks`` reads the rank of
-every leading square block from one such elimination (proof in its
-docstring).
+and enters the basis with no XOR.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -211,8 +208,8 @@ def _row_basis(
     entries: Sequence[int], ncols: int, basis: dict[int, int] | None = None
 ) -> tuple[dict[int, int], list[int]]:
     """Triangular basis of the span of ``entries``, and the tags of the
-    entries that reduce to zero.  Shared by rank, solve, rref and
-    ``leading_ranks``; a given ``basis`` is extended in place.
+    entries that reduce to zero.  Shared by rank, solve and rref; a
+    given ``basis`` is extended in place.
 
     An entry packs ``tag << ncols | vector``, so one XOR updates both;
     solve tags row i with bit i, rank and rref pass bare rows.  Each
@@ -314,36 +311,6 @@ class BinaryMatrix:
                 raise ValueError("column index out of range")
             mask |= 1 << c
         return len(_row_basis([r & mask for r in self._rows], self._ncols)[0])
-
-    def leading_ranks(self, sizes: Iterable[int]) -> tuple[int, ...]:
-        """Rank of the leading s x s block (the first s rows on the first
-        s columns) for each s of the ascending ``sizes``, by one
-        elimination.
-
-        The rows enter one lowest-bit basis in order; after the first s
-        of them, the block's rank is the number of pivots in the first s
-        columns.  Proof: masked to the first s columns, a row meets the
-        same basis entries (masked) and makes the same XORs as at full
-        width while its lowest bit lies in the window; once that bit
-        leaves the window the masked row is zero.  So the masked rows
-        give the masked basis entries with a pivot in the window, and no
-        others.  Each pivot is marked as it enters (the basis dict keeps
-        insertion order, so the newest keys are its last ones), and the
-        marks in the window are counted.
-        """
-        basis: dict[int, int] = {}
-        pivots = bytearray(self._ncols + 1)  # 1 at each basis key
-        done, out = 0, []
-        for s in sizes:
-            if not done <= s <= min(len(self._rows), self._ncols):
-                raise ValueError("sizes must ascend within the row and column counts")
-            before = len(basis)
-            _row_basis(self._rows[done:s], self._ncols, basis)
-            for lead in islice(reversed(basis), len(basis) - before):
-                pivots[lead] = 1
-            done = s
-            out.append(pivots.count(1, 0, s + 1))  # pivots in the window
-        return tuple(out)
 
     def rref(self) -> tuple["BinaryMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns.

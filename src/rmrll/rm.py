@@ -10,24 +10,29 @@ of that of RM(m, m) and ``complement_basis`` holds the rest.
 Write x_T for the monomial on the variables that are 1 at the point T,
 and a <= b when the support of point a lies in that of point b, so
 x_T(b) = 1 exactly when T <= b.  Both systematic forms in the library
-come from one superset-sum (zeta) transform, ``_superset_sums``, with no
-elimination.  Let F be a family of points closed under dropping a bit
-down to its members (a <= T <= b with a, b in F puts T in F).  The row
-R_a, the sum of x_T over the T >= a in F, is 1 at a and 0 at every
-other b in F: the sum at b counts the T with a <= T <= b, all in F, and
-there are 2**(|b| - |a|) of them when a <= b and none otherwise, an odd
-number exactly when b = a.  The R_a over the points of weight <= r,
-which come first in the weight order (``information_points``), are
-[I | P] of RM(m, r) on that column order (``systematic_generator``).
-For an inner subcode's anchored family {A | S} each x_T is 0 below the
-index T, so the R_a by ascending a are its generator's reduced
-row-echelon form, pivots at F (``coset.CosetPlan.inner_maps``).  Both
-forms are unique, so they equal elimination's result bit for bit.
+are built in closed form, with no elimination.  Let F be the points
+T >= A with |T| <= r, for a fixed point A.  For a in F the row R_a, the
+sum of x_T over the T >= a in F, counts at a point b >= a the T made of
+a and at most r - |a| of the s = |b| - |a| other bits of b, so
+R_a(b) = C(s, 0) + ... + C(s, r - |a|) mod 2.  For b in F, s <= r - |a|
+and the sum is 2**s, odd exactly when b = a: the inclusion matrix
+[a <= b] on F is its own inverse over GF(2).  The sum depends only on
+|a| and |b|, so R_a = x_a & mask(|a|) (``_superset_sum_masks``).  With
+A = 0, the R_a by the weight order (``information_points``) are [I | P]
+of RM(m, r) on that column order (``systematic_generator``).  For an
+inner subcode's anchored family each x_T is 0 below the index T, so the
+R_a by ascending a are its generator's reduced row-echelon form, pivots
+at F, and the inclusion matrix maps the pivot values back to the
+message (``coset.CosetPlan.inner_maps``).  Both forms are unique, so
+they equal elimination's result bit for bit.
 
 In the weight order the monomials x_T, listed by T in that order, put
 RM(m, r)'s generator in the first k rows and its information set in the
-first k columns, for every r at once; ``verify-lemmas`` checks all of
-them with one ``BinaryMatrix.leading_ranks``.
+first k columns, for every r at once.  With rows and columns in that
+order the matrix x_a(b) = [a <= b] is upper unitriangular, as a < b
+forces |a| < |b|; ``verify-lemmas`` checks that every column's highest
+1 is on its diagonal (``_down_set_columns``), so every leading block has
+full rank.
 """
 
 from __future__ import annotations
@@ -127,6 +132,15 @@ def _point_weights(m: int) -> np.ndarray:
     return weights
 
 
+def _weight_classes(m: int) -> list[int]:
+    """The points of each weight w in 0..m as an int mask, by index, from
+    the same m doubling steps as ``_point_weights``."""
+    classes = [1]
+    for b in range(m):
+        classes = [low | high << (1 << b) for low, high in zip(classes + [0], [0] + classes)]
+    return classes
+
+
 def information_points(m: int, r: int) -> tuple[int, ...]:
     """Point indices of weight at most r, by ascending weight, then index.
 
@@ -136,11 +150,13 @@ def information_points(m: int, r: int) -> tuple[int, ...]:
     ``systematic_generator``.
 
     Built in numpy from the ``_point_weights``: the points of each weight
-    by ``nonzero``, which keeps them in index order.
+    by ``nonzero``, which keeps them in index order.  Raises ValueError
+    for m < 1 or r outside 0..m.
     """
+    _dimension(m, r)
     weights = _point_weights(m)
-    by_weight = [(weights == w).nonzero()[0] for w in range(min(r, m) + 1)]
-    return tuple(np.concatenate(by_weight).tolist()) if by_weight else ()
+    by_weight = [(weights == w).nonzero()[0] for w in range(r + 1)]
+    return tuple(np.concatenate(by_weight).tolist())
 
 
 class RmCode:
@@ -163,35 +179,50 @@ class RmCode:
         return frozenset(information_points(self.m, self.r))
 
 
-def _weight_order_monomials(m: int, order: tuple[int, ...], count: int) -> dict[int, int]:
-    """x_a for each of the first ``count`` points a of ``order``, the
-    ``information_points(m, m)``, evaluated in that column order (column
-    c is the point order[c]) and keyed by a in that order.
+def _and_products(m: int, order, depth: int, complemented: bool = False) -> list[int]:
+    """The AND of the variable patterns of each point a's variables (with
+    ``complemented``, of their complements), by index, for the a of
+    weight at most ``depth`` (0 for the others), in the column order
+    ``order``: column c is the point order[c].  Uncomplemented, it is x_a.
 
-    Only the m variable patterns are permuted; each x_a is one AND from
-    the point without its lowest bit, which comes earlier in the order.
-    The first k of them are the monomials of RM(m, r), and the first k
-    columns its information points.
+    Only the m variable patterns are permuted.  Then by doubling, the
+    points in [2**b, 2**(b+1)) are those below 2**b with bit b added, so
+    each product is one AND.
     """
     n = 1 << m
-    # index bit b is variable x_(m - b)
-    variables = BinaryMatrix._trusted(_variable_patterns(m), n).column_submatrix(order)
-    by_bit = variables.row_values[::-1]
-    rows = {0: (1 << n) - 1}
-    for a in order[1:count]:
-        low = a & -a
-        rows[a] = rows[a ^ low] & by_bit[low.bit_length() - 1]
-    return rows
+    full = (1 << n) - 1
+    patterns = BinaryMatrix._trusted(_variable_patterns(m), n).column_submatrix(order)
+    weights = _point_weights(m).tolist()
+    out = [full]
+    for pattern in reversed(patterns.row_values):  # index bit b is x_(m - b)
+        if complemented:
+            pattern ^= full
+        out += [x & pattern if w < depth else 0 for x, w in zip(out, weights)]
+    return out
 
 
-def _superset_sums(rows: dict[int, int], lower: Sequence[int], m: int) -> None:
-    """Replace rows[a] by the XOR of rows[T] over the keys T >= a, in place,
-    bit by bit over m bits.  The keys must be closed under dropping a bit
-    down to a key, and ``lower`` must list each key one bit below another."""
-    for bit in (1 << b for b in range(m)):
-        for a in lower:
-            if not a & bit and (above := rows.get(a | bit)) is not None:
-                rows[a] ^= above
+def _down_set_columns(m: int, order) -> list[int]:
+    """Column b of the matrix x_a(b) with the rows a in ``order``, for
+    every point b by index: bit p is 1 exactly when order[p] has no
+    variable outside b, so the column is the complemented
+    ``_and_products`` at b's complement, 2**m - 1 - b."""
+    return _and_products(m, order, m, complemented=True)[::-1]
+
+
+def _superset_sum_masks(r: int, classes: Sequence[int]) -> list[int]:
+    """The mask that turns x_a into R_a for each |a| = j in 0..r: the
+    union of the weight classes w >= j (``classes[w]`` marks the columns
+    of the points of weight w) where C(s, 0) + ... + C(s, t) is odd, for
+    s = w - j and t = r - j (see the module docstring).
+
+    For s >= 1 Pascal's rule telescopes that sum to C(s - 1, t) mod 2,
+    odd by Lucas' theorem exactly when every bit of t is a bit of s - 1.
+    For s = 0 the sum is 1, and ~(s - 1) = 0 passes the same test.
+    """
+    return [
+        sum(c for s, c in enumerate(classes[j:]) if (r - j) & ~(s - 1) == 0)
+        for j in range(r + 1)  # the classes are disjoint, so the sum is their union
+    ]
 
 
 def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]:
@@ -200,13 +231,17 @@ def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]
     Column c is the point ``order[c]``, with ``order`` the
     ``information_points(m, m)``, and row i is R_a for the information
     point a = order[i] (see the module docstring): the reduced
-    row-echelon form of the permuted generator, built without it.
+    row-echelon form of the permuted generator, built without it.  In
+    that order each weight class is one run of columns.
     """
     k = _dimension(m, r)
     order = information_points(m, m)
-    rows = _weight_order_monomials(m, order, k)
-    _superset_sums(rows, order[: k - math.comb(m, r)], m)  # weight below r
-    return BinaryMatrix._trusted(rows.values(), 1 << m), order
+    rows = _and_products(m, order, r)
+    ends = [0] + [_dimension(m, w) for w in range(m + 1)]  # weight classes' columns
+    masks = _superset_sum_masks(r, [(1 << hi) - (1 << lo) for lo, hi in zip(ends, ends[1:])])
+    for a in order[: k - math.comb(m, r)]:  # R_a = x_a at weight r
+        rows[a] &= masks[a.bit_count()]
+    return BinaryMatrix._trusted([rows[a] for a in order[:k]], 1 << m), order
 
 
 def complement_basis(m: int, r: int) -> BinaryMatrix:
@@ -215,9 +250,9 @@ def complement_basis(m: int, r: int) -> BinaryMatrix:
     The rows span exactly the span of the unit vectors e_i with
     wt(point(i)) >= r + 1, which complements the information set.  For
     r = m there are no such monomials and the 0-row matrix is returned.
+    Raises ValueError for m < 1 or r outside 0..m.
     """
-    if not 0 <= r <= m:
-        raise ValueError("r must lie in 0..m")
+    _dimension(m, r)
     high = [mono for mono in _monomials(m, m) if len(mono) > r]
     return BinaryMatrix(_monomial_rows(m, high), 1 << m)
 

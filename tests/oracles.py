@@ -93,6 +93,20 @@ def eliminated_inner_maps(gen) -> tuple[tuple[int, ...], tuple[int, ...], tuple[
     return pivots, rref.row_values, combos
 
 
+def superset_sums(rows: dict[int, int], m: int) -> dict[int, int]:
+    """The XOR of rows[T] over the keys T >= a (as point supports), for
+    each key a, by the zeta transform one bit of m at a time.  The keys
+    must be closed under dropping a bit down to a key.  The loop both
+    systematic forms were built with before their closed form, kept as
+    its defining-sum reference."""
+    out = dict(rows)
+    for bit in (1 << b for b in range(m)):
+        for a in out:
+            if not a & bit and (above := out.get(a | bit)) is not None:
+                out[a] ^= above
+    return out
+
+
 def per_bit_gather(rows, cols) -> tuple[int, ...]:
     """Packed rows whose bit j is bit ``cols[j]`` of the input row, read
     one bit at a time from each row's binary string."""

@@ -290,23 +290,33 @@ class TestVerifyLemmas:
         assert "status=FAIL" in text and "result=fail" in text
 
     def test_fault_injection_fails(self, tmp_path, monkeypatch):
-        # a rank check that under-reports by one must fail the run
-        honest = BinaryMatrix.leading_ranks
-        monkeypatch.setattr(
-            BinaryMatrix,
-            "leading_ranks",
-            lambda self, sizes: tuple(rank - 1 for rank in honest(self, sizes)),
-        )
+        # one column gaining a 1 below its diagonal must fail the run
+        honest = cli._down_set_columns
+
+        def faulty(m, order):
+            cols = honest(m, order)
+            if m == 2:
+                cols[order[1]] |= 1 << 2  # position 1's column, row 2
+            return cols
+
+        monkeypatch.setattr(cli, "_down_set_columns", faulty)
         self.assert_fails(tmp_path, "info-set-rank")
 
     def test_points_out_of_weight_order_fail(self, tmp_path, monkeypatch):
-        # (0, 2, 3, 1) is not in weight order at m=2; with the rank check
-        # forced to pass, only the weight check can see it
+        # (0, 2, 3, 1) is not in weight order at m=2; with the triangular
+        # certificate forced to pass, only the weight check can see it
         honest = cli.information_points
         monkeypatch.setattr(
             cli, "information_points", lambda m, r: (0, 2, 3, 1) if m == 2 else honest(m, r)
         )
-        monkeypatch.setattr(BinaryMatrix, "leading_ranks", lambda self, sizes: tuple(sizes))
+
+        def triangular(m, order):  # column b's highest 1 at b's position
+            cols = [0] * len(order)
+            for p, b in enumerate(order):
+                cols[b] = 1 << p
+            return cols
+
+        monkeypatch.setattr(cli, "_down_set_columns", triangular)
         self.assert_fails(tmp_path, "info-set-rank")
 
     def test_complement_row_on_information_set_fails(self, tmp_path, monkeypatch):
@@ -377,16 +387,16 @@ class TestVerifyLemmas:
     def test_each_m_work_done_once(self, monkeypatch):
         calls = {}
         honest_points = cli.information_points
-        honest_ranks = BinaryMatrix.leading_ranks
+        honest_columns = cli._down_set_columns
         honest_complement = cli.complement_basis
 
         def points(m, r):
             calls["information_points"].append(m)
             return honest_points(m, r)
 
-        def ranks(self, sizes):
-            calls["leading_ranks"] += 1
-            return honest_ranks(self, sizes)
+        def columns(m, order):
+            calls["certificates"] += 1
+            return honest_columns(m, order)
 
         def complement(m, r):
             calls["complement_basis"].append(m)
@@ -396,15 +406,15 @@ class TestVerifyLemmas:
             raise AssertionError("run_profile called")
 
         monkeypatch.setattr(cli, "information_points", points)
-        monkeypatch.setattr(BinaryMatrix, "leading_ranks", ranks)
+        monkeypatch.setattr(cli, "_down_set_columns", columns)
         monkeypatch.setattr(cli, "complement_basis", complement)
         monkeypatch.setattr(cli, "run_profile", no_run_profile)
         for m_max in (5, 10):
-            calls.update(information_points=[], leading_ranks=0, complement_basis=[])
+            calls.update(information_points=[], certificates=0, complement_basis=[])
             lines, ok = lemma_checks(m_max)
             assert ok
             assert sorted(calls["information_points"]) == list(range(1, m_max + 1))
-            assert calls["leading_ranks"] == m_max
+            assert calls["certificates"] == m_max
             assert sorted(calls["complement_basis"]) == list(range(1, min(m_max, 8) + 1))
 
     def test_m_max_validation(self, tmp_path, capsys):

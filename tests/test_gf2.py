@@ -101,16 +101,6 @@ class TestBinaryMatrix:
             assert mat.rank_of_columns(cols) == mat.column_submatrix(cols).rank()
             assert mat.rank_of_columns(cols) == numpy_rank(arr[:, sorted(cols)])
 
-    def test_leading_ranks(self):
-        mat = BinaryMatrix.from_strings(["0110", "0110", "1000", "0001"])
-        assert mat.leading_ranks([0, 1, 2, 2, 3, 4]) == (0, 0, 1, 1, 2, 3)
-        assert mat.leading_ranks([]) == ()
-        for sizes in ([2, 1], [5], [-1]):
-            with pytest.raises(ValueError, match="sizes"):
-                mat.leading_ranks(sizes)
-        with pytest.raises(ValueError, match="sizes"):
-            BinaryMatrix([1, 2], 3).leading_ranks([3])  # past the row count
-
     def test_column_submatrix_matches_per_bit_gather(self):
         rng = np.random.default_rng(18)
         mat, _ = random_matrix(rng, 150, 200)  # more than one 64-row chunk

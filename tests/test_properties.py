@@ -8,13 +8,14 @@ checked against the numpy rank and RREF oracles, on small square-ish
 matrices and on wide ones of up to 40 x 200, and the word-parallel gap
 check against the direct definition on words of up to 4096 bits.  The
 systematic outer generator of a coset plan is checked, un-permuted,
-against the dual code built pointwise, without row reduction, and the
-superset-sum transform behind it against its defining sum on random
-families of points closed under dropping a bit.  The
+against the dual code built pointwise, without row reduction.  The
+closed-form rows behind both systematic forms are checked against the
+superset-sum (zeta) transform of the monomials on random weight-<=r and
+anchored families, and that transform against its defining sum on
+random families of points closed under dropping a bit.  The
 numpy word kernels (``vecmat``, ``support``) and the row- and
 column-masked solve are checked against plain bit lists and the numpy
-rank oracle, ``leading_ranks`` against the rank oracle on every
-leading block, and the one-scan ``bounded_run_counts`` against
+rank oracle, and the one-scan ``bounded_run_counts`` against
 ``run_profile`` on sampled orderings.  The command line's table parse
 of spelled-out flags is checked against the full argparse parser on
 argv mixing each command's flags with junk tokens.  Example counts are bounded so the suite stays
@@ -24,7 +25,7 @@ fast.
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import xor
+from operator import and_, xor
 
 import numpy as np
 from hypothesis import given, settings
@@ -41,10 +42,26 @@ from rmrll.rll import (
     enumerative_encode,
     is_constrained_value,
 )
-from rmrll.rm import RmCode, _superset_sums, complement_basis, eval_monomial, information_points
+from rmrll.rm import (
+    RmCode,
+    _superset_sum_masks,
+    complement_basis,
+    eval_monomial,
+    information_points,
+    systematic_generator,
+)
 from rmrll.subcodes import build_subcode
 
-from oracles import eval_monomial_pointwise, gap_ok, numpy_rank, numpy_rref
+from oracles import (
+    eval_monomial_pointwise,
+    gap_ok,
+    numpy_rank,
+    numpy_rref,
+    per_bit_gather,
+    superset_sums,
+    variable_patterns_by_blocks,
+    weight_order,
+)
 
 bounded = settings(max_examples=60, deadline=None)
 
@@ -166,9 +183,49 @@ class TestSupersetSums:
     def test_matches_defining_sum(self, case):
         m, rows = case
         want = {a: reduce(xor, (v for t, v in rows.items() if t & a == a)) for a in rows}
-        lower = [a for a in rows if any(a | 1 << b in rows for b in range(m) if not a >> b & 1)]
-        _superset_sums(rows, lower, m)
-        assert rows == want
+        assert superset_sums(rows, m) == want
+
+
+@st.composite
+def interval_families(draw):
+    """(m, A, r) for the family of the points T >= A with |T| <= r, at
+    most 8 bits: A = 0 gives the weight-<=r information points, any
+    other A an anchored family like an inner subcode's."""
+    m = draw(st.integers(1, 8))
+    anchor = draw(st.just(0) | st.integers(0, (1 << m) - 1))
+    return m, anchor, draw(st.integers(anchor.bit_count(), m))
+
+
+class TestClosedFormRows:
+    @bounded
+    @given(interval_families())
+    def test_match_superset_sums(self, case):
+        # R_a = x_a & mask(|a|), against the zeta transform of the x_T
+        m, anchor, r = case
+        n = 1 << m
+        patterns = variable_patterns_by_blocks(m)[::-1]  # index bit b is x_(m - b)
+        rows = {
+            t: reduce(and_, (patterns[b] for b in range(m) if t >> b & 1), (1 << n) - 1)
+            for t in range(n)
+            if t & anchor == anchor and t.bit_count() <= r
+        }
+        want = superset_sums(rows, m)
+        classes = [sum(1 << b for b in range(n) if b.bit_count() == w) for w in range(m + 1)]
+        masks = _superset_sum_masks(r, classes)
+        assert {a: x & masks[a.bit_count()] for a, x in rows.items()} == want
+        if not anchor:
+            order = weight_order(m)
+            gen, _ = systematic_generator(m, r)
+            assert gen.row_values == per_bit_gather([want[a] for a in order[: len(want)]], order)
+
+    def test_partial_sum_parity(self):
+        # Pascal telescoping and Lucas' theorem against the sum itself:
+        # with one bit per class, bit s of mask 0 is the parity at (s, t)
+        for t in range(65):
+            mask = _superset_sum_masks(t, [1 << s for s in range(65)])[0]
+            for s in range(65):
+                odd = sum(comb(s, i) for i in range(t + 1)) % 2 == 1
+                assert mask >> s & 1 == odd
 
 
 class TestEnumerativeBijection:
@@ -324,29 +381,6 @@ class TestWideMatrices:
     @given(wide_matrices())
     def test_rref_matches_oracle(self, mat):
         check_rref(mat)
-
-
-@st.composite
-def leading_cases(draw):
-    """A matrix with dependent and duplicated rows, and ascending block
-    sizes that include 0 and min(nrows, ncols)."""
-    mat = draw(matrices() | wide_matrices())
-    rows = list(mat.row_values)
-    if rows:
-        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
-            rows.insert(i, rows[i])
-    mat = BinaryMatrix(rows, mat.ncols)
-    top = min(mat.nrows, mat.ncols)
-    return mat, sorted(draw(st.sets(st.integers(0, top))) | {0, top})
-
-
-class TestLeadingRanks:
-    @settings(max_examples=150, deadline=None)
-    @given(leading_cases())
-    def test_matches_oracle_on_every_leading_block(self, case):
-        mat, sizes = case
-        arr = mat.to_array()
-        assert mat.leading_ranks(sizes) == tuple(numpy_rank(arr[:s, :s]) for s in sizes)
 
 
 class TestBoundedRunCounts:

@@ -6,10 +6,12 @@ import pytest
 from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.rm import (
     RmCode,
+    _and_products,
     _dimension,
+    _down_set_columns,
     _point_weights,
     _variable_patterns,
-    _weight_order_monomials,
+    _weight_classes,
     complement_basis,
     eval_monomial,
     information_points,
@@ -125,6 +127,10 @@ class TestPointWeights:
         for m in range(13):
             weights = _point_weights(m)
             assert weights.tolist() == [i.bit_count() for i in range(1 << m)]
+            classes = _weight_classes(m)
+            assert classes == [
+                sum(1 << i for i in range(1 << m) if i.bit_count() == w) for w in range(m + 1)
+            ]
 
 
 class TestInformationSet:
@@ -152,16 +158,45 @@ class TestInformationSet:
 
 
     def test_weight_order_monomials_match_pointwise_oracle(self):
-        # x_a for each point a, column c holding the point order[c]
+        # x_a for each point a of weight <= depth, column c holding the
+        # point order[c], and 0 for the heavier points
         for m in range(1, 7):
             n = 1 << m
             order = information_points(m, m)
-            rows = _weight_order_monomials(m, order, n)
-            assert tuple(rows) == order
-            for a, row in rows.items():
-                variables = [m - b for b in range(m) if a >> b & 1]
-                want = [eval_monomial_pointwise(m, variables, order[c]) for c in range(n)]
-                assert [row >> c & 1 for c in range(n)] == want
+            for depth in range(m + 1):
+                rows = _and_products(m, order, depth)
+                assert len(rows) == n
+                for a, row in enumerate(rows):
+                    variables = [m - b for b in range(m) if a >> b & 1]
+                    want = [eval_monomial_pointwise(m, variables, order[c]) for c in range(n)]
+                    if len(variables) > depth:
+                        want = [0] * n
+                    assert [row >> c & 1 for c in range(n)] == want
+
+    def test_down_set_columns_match_pointwise_oracle(self):
+        # column b, bit p: x_a(b) for a = order[p], in the weight order and
+        # in a shuffled one
+        rng = np.random.default_rng(20)
+        for m in range(1, 8):
+            n = 1 << m
+            for order in (information_points(m, m), tuple(rng.permutation(n).tolist())):
+                cols = _down_set_columns(m, order)
+                assert len(cols) == n
+                for b, col in enumerate(cols):
+                    want = [
+                        eval_monomial_pointwise(m, [m - v for v in range(m) if a >> v & 1], b)
+                        for a in order
+                    ]
+                    assert [col >> p & 1 for p in range(n)] == want
+
+    def test_parameter_validation(self):
+        # the messages of RmCode's own checks
+        cases = ((3, -1, "r must"), (3, 5, "r must"), (-1, 0, "m must"), (0, 0, "m must"))
+        for m, r, message in cases:
+            with pytest.raises(ValueError, match=message):
+                information_points(m, r)
+            with pytest.raises(ValueError, match=message):
+                complement_basis(m, r)
 
 
 class TestDegreePrefix:
