@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
@@ -145,18 +146,22 @@ class CosetPlan:
     @cached_property
     def inner_maps(self) -> InnerMaps:
         """Pivots and byte tables of the inner code, built on first use."""
-        gen = self.inner.gen
+        gen, m = self.inner.gen, self.inner.parent.m
         points = [(row & -row).bit_length() - 1 for row in gen.row_values]  # x_T's T
-        masks = _superset_sum_masks(self.inner_order, _weight_classes(self.inner.parent.m))
+        masks = _superset_sum_masks(self.inner_order, _weight_classes(m))
         by_point = sorted(range(len(points)), key=points.__getitem__)
-        inclusion = gen.column_submatrix(points).row_values  # its own inverse
+        pivots = [points[i] for i in by_point]
+        # bit i of marks[b]: row i's T has bit b; AND over p's bits: [p <= T]
+        marks = [sum(1 << i for i, t in enumerate(points) if t >> b & 1) for b in range(m)]
+        full = (1 << len(points)) - 1
+        inclusion = [reduce(and_, (marks[b] for b in range(m) if p >> b & 1), full) for p in pivots]
         return InnerMaps(
-            pivots=np.array([points[i] for i in by_point], dtype=np.intp),
+            pivots=np.array(pivots, dtype=np.intp),
             rref=BinaryMatrix._trusted(
                 [gen.row_values[i] & masks[points[i].bit_count()] for i in by_point], gen.ncols
             ),
             to_codeword=_byte_tables(gen.row_values),
-            to_message=_byte_tables([inclusion[i] for i in by_point]),
+            to_message=_byte_tables(inclusion),
         )
 
     @cached_property
@@ -430,6 +435,8 @@ def coset_rate_lower_bound(
     With z = d.bit_length(), C the channel capacity and C0 the
     constraint capacity, the bound is
     C0 * C^2 * 2^-z / (C^2 * 2^-z + 1 - C + 2^-part_exponent).
+    Multiplied through by 2^z, no power of 2 underflows: at C = 1 it is
+    C0 / (1 + 2^(z - part_exponent)).  Where one overflows, it is 0.
     """
     if not 0.0 < channel_capacity <= 1.0:
         raise ValueError("channel capacity must lie in (0, 1]")
@@ -437,15 +444,12 @@ def coset_rate_lower_bound(
         raise ValueError("constraint capacity must lie in (0, 1]")
     if part_exponent < 1:
         raise ValueError("part exponent must be at least 1")
-    scale = 2.0 ** (-spec.anchor_count)
-    num = noiseless_cap * channel_capacity * channel_capacity * scale
-    den = (
-        channel_capacity * channel_capacity * scale
-        + 1.0
-        - channel_capacity
-        + math.ldexp(1.0, -part_exponent)  # 0.0 for any huge exponent
-    )
-    return num / den
+    c, z = channel_capacity, spec.anchor_count
+    try:
+        den = c * c + math.ldexp(1.0 - c, z) + math.ldexp(1.0, z - part_exponent)
+    except OverflowError:
+        return 0.0
+    return noiseless_cap * c * c / den
 
 
 def crossover_capacity(

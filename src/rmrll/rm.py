@@ -2,29 +2,32 @@
 
 Evaluation points z = (z_1, ..., z_m) are ordered by integer index with
 z_1 the most significant bit, so lexicographic order on points equals
-numeric order on indices.  Generator rows are monomial evaluations,
-listed by ascending degree and, within a degree, by lexicographic order
-of the variable subset, so the generator of RM(m, r) is the first k rows
-of that of RM(m, m) and ``complement_basis`` holds the rest.
+numeric order on indices.  Write x_T for the monomial on the variables
+that are 1 at the point T, and a <= b when the support of point a lies
+in that of point b, so x_T(b) = 1 exactly when T <= b.
 
-Write x_T for the monomial on the variables that are 1 at the point T,
-and a <= b when the support of point a lies in that of point b, so
-x_T(b) = 1 exactly when T <= b.  Both systematic forms in the library
-are built in closed form, with no elimination.  Let F be the points
-T >= A with |T| <= r, for a fixed point A.  For a in F the row R_a, the
-sum of x_T over the T >= a in F, counts at a point b >= a the T made of
-a and at most r - |a| of the s = |b| - |a| other bits of b, so
-R_a(b) = C(s, 0) + ... + C(s, r - |a|) mod 2.  For b in F, s <= r - |a|
-and the sum is 2**s, odd exactly when b = a: the inclusion matrix
-[a <= b] on F is its own inverse over GF(2).  The sum depends only on
-|a| and |b|, so R_a = x_a & mask(|a|) (``_superset_sum_masks``).  With
-A = 0, the R_a by the weight order (``information_points``) are [I | P]
-of RM(m, r) on that column order (``systematic_generator``).  For an
-inner subcode's anchored family each x_T is 0 below the index T, so the
-R_a by ascending a are its generator's reduced row-echelon form, pivots
-at F, and the inclusion matrix maps the pivot values back to the
-message (``coset.CosetPlan.inner_maps``).  Both forms are unique, so
-they equal elimination's result bit for bit.
+Every generator row is an x_T from one evaluator, ``_and_products``,
+listed by ascending weight of T, then descending index: ascending
+degree, then lexicographic order of the variables.  So RM(m, r) is the
+first k rows of RM(m, m), and ``complement_basis`` holds the rest.  A
+row's point T is its lowest set bit, so the anchored subcode
+(``subcodes.build_subcode``) is the parent's rows at anchored points.
+
+Both systematic forms in the library are built in closed form, with no
+elimination.  Let F be the points T >= A with |T| <= r, for a fixed
+point A.  For a in F the row R_a, the sum of x_T over the T >= a in F,
+counts at a point b >= a the T made of a and at most r - |a| of the
+s = |b| - |a| other bits of b, so R_a(b) = C(s, 0) + ... + C(s, r - |a|)
+mod 2.  For b in F, s <= r - |a| and the sum is 2**s, odd exactly when
+b = a: the inclusion matrix [a <= b] on F is its own inverse over GF(2).
+The sum depends only on |a| and |b|, so R_a = x_a & mask(|a|)
+(``_superset_sum_masks``).  With A = 0, the R_a by the weight order
+(``information_points``) are [I | P] of RM(m, r) on that column order
+(``systematic_generator``).  For an inner subcode's anchored family, as
+each x_T is 0 below T, the R_a by ascending a are its generator's
+reduced row-echelon form, pivots at F, and the inclusion matrix maps the
+pivot values back to the message (``coset.CosetPlan.inner_maps``).  Both
+forms are unique, so they equal elimination's result bit for bit.
 
 In the weight order the monomials x_T, listed by T in that order, put
 RM(m, r)'s generator in the first k rows and its information set in the
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,26 +85,6 @@ def _variable_patterns(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _monomials(m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for deg in range(r + 1):
-        out.extend(combinations(range(1, m + 1), deg))
-    return tuple(out)
-
-
-def _monomial_rows(m: int, monomials: Iterable[Iterable[int]]) -> list[int]:
-    """Packed evaluation vectors of monomials given as 1-based variables."""
-    patterns = _variable_patterns(m)
-    all_ones = (1 << (1 << m)) - 1
-    rows = []
-    for mono in monomials:
-        acc = all_ones
-        for j in mono:
-            acc &= patterns[j - 1]
-        rows.append(acc)
-    return rows
-
-
 def eval_monomial(m: int, variables: Iterable[int]) -> BitWord:
     """Evaluation vector of the product of x_j for j in ``variables``.
 
@@ -111,7 +93,10 @@ def eval_monomial(m: int, variables: Iterable[int]) -> BitWord:
     var_set = set(variables)
     if not all(1 <= j <= m for j in var_set):
         raise ValueError("variables must lie in 1..m")
-    return BitWord(_monomial_rows(m, [var_set])[0], 1 << m)
+    acc = (1 << (1 << m)) - 1
+    for j in var_set:
+        acc &= _variable_patterns(m)[j - 1]
+    return BitWord(acc, 1 << m)
 
 
 def _dimension(m: int, r: int) -> int:
@@ -123,12 +108,14 @@ def _dimension(m: int, r: int) -> int:
     return sum(math.comb(m, i) for i in range(r + 1))
 
 
+@lru_cache(maxsize=64)
 def _point_weights(m: int) -> np.ndarray:
     """Weight of every point index in [0, 2**m), by m doubling steps: the
     points in [2**b, 2**(b+1)) weigh one more than those below 2**b."""
     weights = np.zeros(1 << m, np.int8)
     for b in range(m):
         np.add(weights[: 1 << b], 1, out=weights[1 << b : 2 << b])
+    weights.flags.writeable = False  # cached
     return weights
 
 
@@ -147,11 +134,8 @@ def information_points(m: int, r: int) -> tuple[int, ...]:
     They are the information set of RM(m, r): there are exactly k of
     them and the generator columns there are linearly independent.  With
     r = m they are every point, in the column order of
-    ``systematic_generator``.
-
-    Built in numpy from the ``_point_weights``: the points of each weight
-    by ``nonzero``, which keeps them in index order.  Raises ValueError
-    for m < 1 or r outside 0..m.
+    ``systematic_generator``.  Raises ValueError for m < 1 or r outside
+    0..m.
     """
     _dimension(m, r)
     weights = _point_weights(m)
@@ -167,8 +151,9 @@ class RmCode:
         self.m = m
         self.r = r
         self.n = 1 << m
-        self.monomials = _monomials(m, r)
-        self.gen = BinaryMatrix(_monomial_rows(m, self.monomials), self.n)
+        weights, rows = _point_weights(m), _and_products(m, None, r)
+        points = [(weights == w).nonzero()[0][::-1] for w in range(r + 1)]  # the row order
+        self.gen = BinaryMatrix._trusted([rows[a] for a in np.concatenate(points).tolist()], self.n)
 
     def __repr__(self) -> str:
         return f"RmCode(m={self.m}, r={self.r})"
@@ -183,18 +168,20 @@ def _and_products(m: int, order, depth: int, complemented: bool = False) -> list
     """The AND of the variable patterns of each point a's variables (with
     ``complemented``, of their complements), by index, for the a of
     weight at most ``depth`` (0 for the others), in the column order
-    ``order``: column c is the point order[c].  Uncomplemented, it is x_a.
+    ``order`` (None: the natural order).  Uncomplemented, it is x_a.
 
-    Only the m variable patterns are permuted.  Then by doubling, the
+    Only the m variable patterns are gathered.  Then by doubling, the
     points in [2**b, 2**(b+1)) are those below 2**b with bit b added, so
     each product is one AND.
     """
     n = 1 << m
     full = (1 << n) - 1
-    patterns = BinaryMatrix._trusted(_variable_patterns(m), n).column_submatrix(order)
+    patterns = _variable_patterns(m)
+    if order is not None:
+        patterns = BinaryMatrix._trusted(patterns, n).column_submatrix(order).row_values
     weights = _point_weights(m).tolist()
     out = [full]
-    for pattern in reversed(patterns.row_values):  # index bit b is x_(m - b)
+    for pattern in reversed(patterns):  # index bit b is x_(m - b)
         if complemented:
             pattern ^= full
         out += [x & pattern if w < depth else 0 for x, w in zip(out, weights)]
@@ -245,16 +232,15 @@ def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]
 
 
 def complement_basis(m: int, r: int) -> BinaryMatrix:
-    """Evaluations of all monomials of degree above r.
+    """Evaluations of all monomials of degree above r: the rows of
+    RM(m, m) after the first k (none for r = m).
 
-    The rows span exactly the span of the unit vectors e_i with
-    wt(point(i)) >= r + 1, which complements the information set.  For
-    r = m there are no such monomials and the 0-row matrix is returned.
-    Raises ValueError for m < 1 or r outside 0..m.
+    They span exactly the unit vectors e_i with wt(point(i)) >= r + 1,
+    which complements the information set.  Raises ValueError for m < 1
+    or r outside 0..m.
     """
-    _dimension(m, r)
-    high = [mono for mono in _monomials(m, m) if len(mono) > r]
-    return BinaryMatrix(_monomial_rows(m, high), 1 << m)
+    k = _dimension(m, r)
+    return BinaryMatrix._trusted(RmCode(m, m).gen.row_values[k:], 1 << m)
 
 
 def _q_function(x: float) -> float:

@@ -6,6 +6,12 @@ coordinates congruent to 2**z - 1 mod 2**z, so consecutive 1s are at
 least 2**z - 1 >= d apart, and the property survives linear
 combinations.  An exhaustive oracle searches for the true largest such
 subcode on small codes to measure how tight the construction is.
+
+A linear code is gap-constrained exactly when its support, the OR of a
+basis, is.  If: dropping 1s from a word only widens its gaps.  Only if:
+for support positions i < j at most d apart, take codewords a with a 1
+at i and b with a 1 at j; a, b or a + b has 1s at both (a + b when a is
+0 at j and b at i), so some codeword breaks the gap.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from math import comb
 from .gf2 import BitWord, BinaryMatrix
 from .ordering import lexicographic_ordering, run_profile, subcode_dimension_bound
 from .rll import RllSpec, is_constrained_value
-from .rm import RmCode, _monomial_rows, _monomials
+from .rm import RmCode
 
 ORACLE_MAX_DIM = 20  # largest code dimension the exhaustive oracle sweeps
 
@@ -44,17 +50,16 @@ class RllSubcode:
 def build_subcode(parent: RmCode, spec: RllSpec) -> RllSubcode:
     """Anchored-monomial subcode of dimension C(m-z, <= r-z).
 
-    Rows evaluate (x_{m-z+1} * ... * x_m) * g where g ranges over the
-    monomials of degree <= r - z in the first m - z variables.  When
-    r < z the subcode is the zero code.
+    Its rows are the parent's rows (x_{m-z+1} * ... * x_m) * g, g of
+    degree <= r - z in the first m - z variables: those whose point (its
+    lowest set bit) has its low z bits all 1.  r < z gives the zero code.
     """
     z = spec.anchor_count
-    m, r = parent.m, parent.r
-    if m < z:
+    if parent.m < z:
         raise ValueError(f"need m >= {z} to anchor the gap constraint for d={spec.d}")
-    anchor = tuple(range(m - z + 1, m + 1))
-    rows = _monomial_rows(m, [g + anchor for g in _monomials(m - z, r - z)])
-    return RllSubcode(parent, spec, BinaryMatrix(rows, parent.n), len(rows))
+    low = (1 << z) - 1  # the anchor variables' bits of a point
+    rows = [row for row in parent.gen.row_values if ((row & -row).bit_length() - 1) & low == low]
+    return RllSubcode(parent, spec, BinaryMatrix._trusted(rows, parent.n), len(rows))
 
 
 def subcode_rate(m: int, r: int, spec: RllSpec) -> float:
@@ -78,14 +83,15 @@ def largest_linear_rll_subcode(
     generator at a time.  Each subspace is reached once, through its
     greedy basis: the next generator is larger than the previous ones
     and is the least word of its coset of the current span.  A node
-    carries the later candidates x whose coset x + span is still all
-    constrained; any subspace below it lies in the span plus those
-    candidates, so a node whose span and candidates number fewer than
-    2**(best + 1) words is cut.  The run-structure dimension bound caps
-    the depth, and the search stops once a subspace reaches the cap.
-    Limited to code dimension ORACLE_MAX_DIM (the codeword sweep is
-    2**k).  With d=0 every word is constrained, so the answer is the
-    whole code and no search runs.
+    carries the later candidates x outside the span whose OR with the
+    span's support is constrained, so that x + span is all constrained
+    (see the module docstring); any subspace below it lies in the span
+    plus those candidates, so a node whose span and candidates number
+    fewer than 2**(best + 1) words is cut.  The run-structure dimension
+    bound caps the depth, and the search stops once a subspace reaches
+    the cap.  Limited to code dimension ORACLE_MAX_DIM (the codeword
+    sweep is 2**k).  With d=0 every word is constrained, so the answer
+    is the whole code and no search runs.
     """
     if code.k > ORACLE_MAX_DIM:
         raise ValueError(f"exhaustive search supports dimension at most {ORACLE_MAX_DIM}")
@@ -93,12 +99,12 @@ def largest_linear_rll_subcode(
         return code.k, code.gen
     d = spec.d
     rows = code.gen.row_values
-    good = set()  # nonzero constrained codewords
+    good = []  # nonzero constrained codewords
     acc = 0
     for g in range(1, 1 << code.k):
         acc ^= rows[(g & -g).bit_length() - 1]
         if is_constrained_value(acc, d):
-            good.add(acc)
+            good.append(acc)
     prof = run_profile(code.information_set(), lexicographic_ordering(code.m), spec)
     depth_cap = min(
         subcode_dimension_bound(code.k, prof.tuple_count, spec),
@@ -106,7 +112,7 @@ def largest_linear_rll_subcode(
     )
     best: list[int] = []
 
-    def extend(basis: list[int], span: list[int], cands: list[int]):
+    def extend(basis: list[int], span: set[int], support: int, cands: list[int]):
         nonlocal best
         if len(basis) > len(best):
             best = basis
@@ -116,9 +122,12 @@ def largest_linear_rll_subcode(
                 return
             if any(w ^ v < w for v in span):
                 continue  # not the least word of its coset
-            coset = [w ^ v for v in span]
-            later = [x for x in cands[i + 1 :] if all(x ^ c in good for c in coset)]
-            extend(basis + [w], span + coset, later)
+            coset = {w ^ v for v in span}
+            grown = support | w
+            later = [
+                x for x in cands[i + 1 :] if x not in coset and is_constrained_value(grown | x, d)
+            ]
+            extend(basis + [w], span | coset, grown, later)
 
-    extend([], [0], sorted(good))
+    extend([], {0}, 0, sorted(good))
     return len(best), BinaryMatrix(best, code.n)

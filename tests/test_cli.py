@@ -273,6 +273,16 @@ class TestRateCurves:
         assert body_lines(text) == body_lines(run(tmp_path, *argv, "1100")[1])
 
 
+    def test_huge_anchor_and_part_exponent_run(self, tmp_path):
+        # z = 1081 and part exponent 2000: 2**-z and 2**-2000 both round
+        # to 0.0, so the bound's denominator at C = 1 may not be formed
+        # from them
+        argv = ["--d", str(2**1080), "--part-exponent", "2000"]
+        code, text = run(tmp_path, "rate-curves", *argv, "--grid", "0.1")
+        assert code == 0
+        assert len(body_lines(text)) == 1 + 10
+
+
 class TestVerifyLemmas:
     def test_passes_small(self, tmp_path):
         code, text = run(tmp_path, "verify-lemmas", "--m-max", "3")
@@ -706,6 +716,11 @@ class TestCrossover:
         assert body_lines(text) == body_lines(
             run(tmp_path, "crossover", "--d", "1", "--part-exponent", "1100")[1]
         )
+
+    def test_huge_anchor_and_part_exponent_run(self, tmp_path):
+        code, text = run(tmp_path, "crossover", "--d", str(2**1080), "--part-exponent", "2000")
+        assert code == 0
+        assert "capacity_crossover=" in text
 
     def test_tolerance_below_float_spacing_terminates(self, tmp_path):
         # no float bracket around 0.76 is 1e-300 wide; bisection stops

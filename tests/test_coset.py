@@ -648,6 +648,17 @@ class TestRateBound:
         got = coset_rate_lower_bound(c0, 1.0, spec, 50)
         assert got == pytest.approx(c0, abs=1e-3)
 
+    def test_perfect_channel_value_for_every_exponent(self):
+        # C0 / (1 + 2**(z - part_exponent)), also where 2**-z and
+        # 2**-part_exponent are below the smallest float
+        c0 = 0.5
+        for d, pe in ((1, 50), (2**59, 70), (2**1080, 1081), (2**1080, 2000), (2**1200, 1201)):
+            spec = RllSpec(d)
+            want = c0 / (1 + 2.0 ** (spec.anchor_count - pe))
+            assert coset_rate_lower_bound(c0, 1.0, spec, pe) == want
+        assert coset_rate_lower_bound(c0, 1.0, RllSpec(2**1080), 10) == 0.0
+        assert coset_rate_lower_bound(c0, 0.5, RllSpec(2**1080), 2000) == 0.0
+
     def test_monotone_in_capacity(self):
         spec = RllSpec(2)
         c0 = noiseless_capacity(spec)

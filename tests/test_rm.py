@@ -1,9 +1,11 @@
+import hashlib
 from math import comb
 
 import numpy as np
 import pytest
 
 from rmrll.gf2 import BinaryMatrix, BitWord
+from rmrll.rll import RllSpec
 from rmrll.rm import (
     RmCode,
     _and_products,
@@ -18,6 +20,7 @@ from rmrll.rm import (
     point_of_index,
     select_order,
 )
+from rmrll.subcodes import build_subcode
 
 from oracles import (
     eval_monomial_pointwise,
@@ -26,6 +29,9 @@ from oracles import (
     variable_patterns_by_blocks,
     weight_order,
 )
+
+
+GENERATORS_SHA256 = "5aca5bd7375288eeaf18ef783b819a8744f1569de36420e8deaae7e5eaaec470"
 
 
 class TestPoints:
@@ -78,15 +84,29 @@ class TestRmCode:
         assert rows == ["11111111", "00001111", "00110011", "01010101"]
 
     def test_monomial_order_degree_then_lex(self):
-        assert RmCode(3, 2).monomials == (
-            (),
-            (1,),
-            (2,),
-            (3,),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-        )
+        # row x_a's point a is its lowest set bit: 1, x1, x2, x3, x1x2,
+        # x1x3, x2x3, with x1 the most significant bit of a
+        rows = RmCode(3, 2).gen.row_values
+        assert tuple((row & -row).bit_length() - 1 for row in rows) == (0, 4, 2, 1, 6, 5, 3)
+
+    def test_generators_pinned_bit_for_bit(self):
+        # one SHA-256 over the rows, in order, of RM(m, r), its complement
+        # basis and its anchored subcodes for d <= 3, for every m <= 10
+        # and r, each matrix led by its row count
+        h = hashlib.sha256()
+        for m in range(1, 11):
+            width = ((1 << m) + 7) // 8
+            for r in range(m + 1):
+                code = RmCode(m, r)
+                mats = [code.gen, complement_basis(m, r)]
+                mats += [
+                    build_subcode(code, RllSpec(d)).gen for d in range(4) if m >= d.bit_length()
+                ]
+                for mat in mats:
+                    h.update(len(mat.row_values).to_bytes(4, "little"))
+                    for row in mat.row_values:
+                        h.update(row.to_bytes(width, "little"))
+        assert h.hexdigest() == GENERATORS_SHA256
 
     def test_dimension_formula(self):
         for m in range(1, 9):
@@ -159,19 +179,21 @@ class TestInformationSet:
 
     def test_weight_order_monomials_match_pointwise_oracle(self):
         # x_a for each point a of weight <= depth, column c holding the
-        # point order[c], and 0 for the heavier points
+        # point order[c] (c itself with no order), and 0 for the heavier
+        # points
         for m in range(1, 7):
             n = 1 << m
-            order = information_points(m, m)
-            for depth in range(m + 1):
-                rows = _and_products(m, order, depth)
-                assert len(rows) == n
-                for a, row in enumerate(rows):
-                    variables = [m - b for b in range(m) if a >> b & 1]
-                    want = [eval_monomial_pointwise(m, variables, order[c]) for c in range(n)]
-                    if len(variables) > depth:
-                        want = [0] * n
-                    assert [row >> c & 1 for c in range(n)] == want
+            for order in (information_points(m, m), None):
+                points = range(n) if order is None else order
+                for depth in range(m + 1):
+                    rows = _and_products(m, order, depth)
+                    assert len(rows) == n
+                    for a, row in enumerate(rows):
+                        variables = [m - b for b in range(m) if a >> b & 1]
+                        want = [eval_monomial_pointwise(m, variables, p) for p in points]
+                        if len(variables) > depth:
+                            want = [0] * n
+                        assert [row >> c & 1 for c in range(n)] == want
 
     def test_down_set_columns_match_pointwise_oracle(self):
         # column b, bit p: x_a(b) for a = order[p], in the weight order and
