@@ -137,10 +137,9 @@ def information_points(m: int, r: int) -> tuple[int, ...]:
     ``systematic_generator``.  Raises ValueError for m < 1 or r outside
     0..m.
     """
-    _dimension(m, r)
-    weights = _point_weights(m)
-    by_weight = [(weights == w).nonzero()[0] for w in range(r + 1)]
-    return tuple(np.concatenate(by_weight).tolist())
+    k = _dimension(m, r)
+    order = np.argsort(_point_weights(m), kind="stable")  # ties keep index order
+    return tuple(order[:k].tolist())
 
 
 class RmCode:

@@ -4,32 +4,38 @@ The construction anchors every monomial with the product of the last
 z = d.bit_length() variables: anchored evaluations are supported on
 coordinates congruent to 2**z - 1 mod 2**z, so consecutive 1s are at
 least 2**z - 1 >= d apart, and the property survives linear
-combinations.  An exhaustive oracle searches for the true largest such
-subcode on small codes to measure how tight the construction is.
+combinations.
 
 A linear code is gap-constrained exactly when its support, the OR of a
-basis, is.  If: dropping 1s from a word only widens its gaps.  Only if:
-for support positions i < j at most d apart, take codewords a with a 1
-at i and b with a 1 at j; a, b or a + b has 1s at both (a + b when a is
-0 at j and b at i), so some codeword breaks the gap.
+basis, is (``is_rll_code``).  If: dropping 1s from a word only widens
+its gaps.  Only if: for support positions i < j at most d apart, take
+codewords a with a 1 at i and b with a 1 at j; a, b or a + b has 1s at
+both (a + b when a is 0 at j and b at i), so some codeword breaks the
+gap.  So a gap-constrained subcode of C with support S lies in C
+shortened to S, the codewords zero off S, which is gap-constrained when
+S is d-separated (its positions d + 1 or more apart).  A larger S keeps
+every word, so the largest is C shortened to a maximal d-separated S,
+of dimension k - rank(G on the columns off S).  The construction
+shortens C to the positions 2**z - 1 mod 2**z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
-from .gf2 import BitWord, BinaryMatrix
-from .ordering import lexicographic_ordering, run_profile, subcode_dimension_bound
+from .gf2 import BitWord, BinaryMatrix, _row_basis
 from .rll import RllSpec, is_constrained_value
 from .rm import RmCode
 
-ORACLE_MAX_DIM = 20  # largest code dimension the exhaustive oracle sweeps
+SEARCH_MAX_N = 32  # longest code whose maximal d-separated sets are all tried
 
 __all__ = [
     "RllSubcode",
     "build_subcode",
     "subcode_rate",
+    "is_rll_code",
     "largest_linear_rll_subcode",
 ]
 
@@ -73,61 +79,53 @@ def subcode_rate(m: int, r: int, spec: RllSpec) -> float:
     return sum(comb(m - z, i) for i in range(r - z + 1)) / (1 << m)
 
 
-def largest_linear_rll_subcode(
-    code: RmCode, spec: RllSpec
-) -> tuple[int, BinaryMatrix]:
-    """Exhaustive search for the largest all-constrained linear subcode.
+def is_rll_code(gen: BinaryMatrix, d: int) -> bool:
+    """True when every word in the row span of ``gen`` has at least d
+    zeros between 1s: when the OR of its rows does (module docstring)."""
+    support = 0
+    for row in gen.row_values:
+        support |= row
+    return is_constrained_value(support, d)
 
-    Collects every nonzero constrained codeword, then walks the
-    subspaces whose nonzero words are all constrained, growing one
-    generator at a time.  Each subspace is reached once, through its
-    greedy basis: the next generator is larger than the previous ones
-    and is the least word of its coset of the current span.  A node
-    carries the later candidates x outside the span whose OR with the
-    span's support is constrained, so that x + span is all constrained
-    (see the module docstring); any subspace below it lies in the span
-    plus those candidates, so a node whose span and candidates number
-    fewer than 2**(best + 1) words is cut.  The run-structure dimension
-    bound caps the depth, and the search stops once a subspace reaches
-    the cap.  Limited to code dimension ORACLE_MAX_DIM (the codeword
-    sweep is 2**k).  With d=0 every word is constrained, so the answer
-    is the whole code and no search runs.
+
+def _maximal_separated_sets(n: int, d: int, last: int, mask: int = 0) -> Iterator[int]:
+    """Bit masks of the maximal d-separated position sets in [0, n) that
+    extend ``mask``, whose highest position is ``last``: each next one is
+    d + 1 to 2d + 1 past the last, and the last is within d of n - 1, so
+    no position can be added.  With last = -d - 1 the first is at most d."""
+    if last + d + 1 >= n:
+        yield mask  # and the range below is empty
+    for nxt in range(last + d + 1, min(last + 2 * d + 2, n)):
+        yield from _maximal_separated_sets(n, d, nxt, mask | 1 << nxt)
+
+
+def largest_linear_rll_subcode(code: RmCode, spec: RllSpec) -> tuple[int, BinaryMatrix]:
+    """Dimension and a basis of a largest linear subcode of ``code`` whose
+    nonzero words all have at least d zeros between 1s: with d = 0 the
+    whole code, else C shortened to the best maximal d-separated S (see
+    the module docstring).  For n <= SEARCH_MAX_N every maximal S is
+    tried and the first of least rank kept; the basis is G times the
+    left kernel of G on the columns off S.
+
+    Longer codes are answered only for r <= 1, in closed form: dimension
+    1 (the row x_m) for d = r = 1, else 0.  A nonzero word of RM(m, 1) is
+    the all-ones word, which breaks any gap, or has weight n/2, and the
+    nonzero words of a constrained subcode lie in its support S, where
+    (|S| - 1)(d + 1) < n.  For m >= 3 that leaves |S| >= n/2 only for
+    d = 1 and |S| = n/2, so every nonzero word has support S: there is
+    at most one.  Raises ValueError for n > SEARCH_MAX_N and r >= 2.
     """
-    if code.k > ORACLE_MAX_DIM:
-        raise ValueError(f"exhaustive search supports dimension at most {ORACLE_MAX_DIM}")
-    if spec.d == 0:
+    d, n = spec.d, code.n
+    if d == 0:
         return code.k, code.gen
-    d = spec.d
-    rows = code.gen.row_values
-    good = []  # nonzero constrained codewords
-    acc = 0
-    for g in range(1, 1 << code.k):
-        acc ^= rows[(g & -g).bit_length() - 1]
-        if is_constrained_value(acc, d):
-            good.append(acc)
-    prof = run_profile(code.information_set(), lexicographic_ordering(code.m), spec)
-    depth_cap = min(
-        subcode_dimension_bound(code.k, prof.tuple_count, spec),
-        (len(good) + 1).bit_length() - 1,
+    if n > SEARCH_MAX_N:
+        if code.r > 1:
+            raise ValueError(f"exact search needs length at most {SEARCH_MAX_N} or order at most 1")
+        rows = code.gen.row_values[-1:] if d == 1 and code.r == 1 else ()  # x_m is the last row
+        return len(rows), BinaryMatrix._trusted(rows, n)
+    best = min(  # the first maximal S of least rank off S
+        _maximal_separated_sets(n, d, -d - 1),
+        key=lambda s: len(_row_basis([row & ~s for row in code.gen.row_values], n)[0]),
     )
-    best: list[int] = []
-
-    def extend(basis: list[int], span: set[int], support: int, cands: list[int]):
-        nonlocal best
-        if len(basis) > len(best):
-            best = basis
-        for i, w in enumerate(cands):
-            reach = (len(cands) - i + len(span)).bit_length() - 1
-            if min(reach, depth_cap) <= len(best):
-                return
-            if any(w ^ v < w for v in span):
-                continue  # not the least word of its coset
-            coset = {w ^ v for v in span}
-            grown = support | w
-            later = [
-                x for x in cands[i + 1 :] if x not in coset and is_constrained_value(grown | x, d)
-            ]
-            extend(basis + [w], span | coset, grown, later)
-
-    extend([], {0}, 0, sorted(good))
-    return len(best), BinaryMatrix(best, code.n)
+    kernel = code.gen.solve_right(BitWord(0, n), cols=((1 << n) - 1) ^ best).kernel
+    return len(kernel), BinaryMatrix._trusted([code.gen.vecmat(u).value for u in kernel], n)

@@ -2,16 +2,19 @@
 
 Everything here is deliberately naive and written against plain numpy
 arrays / Python lists, sharing no code paths with the package, so a bug
-in the packed-integer implementations cannot hide in its own test.  The
-one exception, ``eliminated_inner_maps``, keeps the package's own
-elimination as the reference for the transform that replaced it.
+in the packed-integer implementations cannot hide in its own test.  Two
+exceptions keep a search or elimination the package used to run as the
+reference for what replaced it: ``eliminated_inner_maps`` and
+``lattice_largest_rll_subcode``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rmrll.gf2 import BitWord
+from rmrll.gf2 import BinaryMatrix, BitWord
+from rmrll.ordering import lexicographic_ordering, run_profile, subcode_dimension_bound
+from rmrll.rll import is_constrained_value
 
 
 def numpy_rank(matrix: np.ndarray) -> int:
@@ -216,3 +219,60 @@ def eval_monomial_pointwise(m: int, variables, index: int) -> int:
     """Value of the monomial prod x_j at the point with this index,
     reading variable j from bit (m - j) of the index."""
     return int(all((index >> (m - j)) & 1 for j in variables))
+
+
+def lattice_largest_rll_subcode(code, spec) -> tuple[int, BinaryMatrix]:
+    """Exhaustive search for the largest all-constrained linear subcode.
+
+    Collects every nonzero constrained codeword, then walks the
+    subspaces whose nonzero words are all constrained, growing one
+    generator at a time.  Each subspace is reached once, through its
+    greedy basis: the next generator is larger than the previous ones
+    and is the least word of its coset of the current span.  A node
+    carries the later candidates x outside the span whose OR with the
+    span's support is constrained, so that x + span is all constrained;
+    any subspace below it lies in the span plus those candidates, so a
+    node whose span and candidates number fewer than 2**(best + 1) words
+    is cut.  The run-structure dimension bound caps the depth, and the
+    search stops once a subspace reaches the cap.  The codeword sweep is
+    2**k, so it is for small codes.  With d=0 every word is constrained,
+    so the answer is the whole code and no search runs.  The search
+    ``subcodes.largest_linear_rll_subcode`` ran before the support
+    maximum replaced it, kept as its reference.
+    """
+    if spec.d == 0:
+        return code.k, code.gen
+    d = spec.d
+    rows = code.gen.row_values
+    good = []  # nonzero constrained codewords
+    acc = 0
+    for g in range(1, 1 << code.k):
+        acc ^= rows[(g & -g).bit_length() - 1]
+        if is_constrained_value(acc, d):
+            good.append(acc)
+    prof = run_profile(code.information_set(), lexicographic_ordering(code.m), spec)
+    depth_cap = min(
+        subcode_dimension_bound(code.k, prof.tuple_count, spec),
+        (len(good) + 1).bit_length() - 1,
+    )
+    best: list[int] = []
+
+    def extend(basis: list[int], span: set[int], support: int, cands: list[int]):
+        nonlocal best
+        if len(basis) > len(best):
+            best = basis
+        for i, w in enumerate(cands):
+            reach = (len(cands) - i + len(span)).bit_length() - 1
+            if min(reach, depth_cap) <= len(best):
+                return
+            if any(w ^ v < w for v in span):
+                continue  # not the least word of its coset
+            coset = {w ^ v for v in span}
+            grown = support | w
+            later = [
+                x for x in cands[i + 1 :] if x not in coset and is_constrained_value(grown | x, d)
+            ]
+            extend(basis + [w], span | coset, grown, later)
+
+    extend([], {0}, 0, sorted(good))
+    return len(best), BinaryMatrix(best, code.n)

@@ -14,6 +14,7 @@ from rmrll.coset import coset_rate_lower_bound
 from rmrll.gf2 import BinaryMatrix
 from rmrll.rll import RllSpec, noiseless_capacity
 from rmrll.rm import complement_basis
+from rmrll.subcodes import RllSubcode
 
 
 def run(tmp_path, *argv):
@@ -459,7 +460,28 @@ class TestSubcodeOracle:
     def test_dimension_guard(self, tmp_path, capsys):
         code, _ = run(tmp_path, "subcode-oracle", "--m", "6", "--r", "3", "--d", "1")
         assert code == 2
-        capsys.readouterr()
+        assert "oracle needs 2**m <= 32 or r <= 1, got m=6, r=3" in capsys.readouterr().err
+
+    def test_whole_length_32_space(self, tmp_path):
+        code, text = run(tmp_path, "subcode-oracle", "--m", "5", "--r", "5", "--d", "2")
+        assert code == 0
+        assert body_lines(text)[1] == "5,5,2,32,12,11,8"
+
+    @pytest.mark.parametrize("faulted", ["oracle", "construction"])
+    def test_unconstrained_basis_is_violation(self, tmp_path, monkeypatch, faulted):
+        # a basis whose span breaks the gap fails the run even when the
+        # dimensions still sit between the construction and the bound
+        ones = BinaryMatrix([0xFF], 8)
+        if faulted == "oracle":
+            monkeypatch.setattr(cli, "largest_linear_rll_subcode", lambda code, spec: (1, ones))
+        else:
+            monkeypatch.setattr(
+                cli, "build_subcode", lambda code, spec: RllSubcode(code, spec, ones, 1)
+            )
+        code, text = run(tmp_path, "subcode-oracle", "--m", "3", "--r", "1", "--d", "1")
+        assert code == 1
+        assert body_lines(text)[1] == "3,1,1,4,3,1,1"
+        assert f"# violation={faulted}_rll" in text.splitlines()
 
     def test_m_guard(self, tmp_path, capsys):
         # r = 1 keeps the dimension at 16, so only the bound on m rejects it

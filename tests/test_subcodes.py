@@ -1,16 +1,22 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.ordering import lexicographic_ordering, run_profile, subcode_dimension_bound
 from rmrll.rll import RllSpec, is_constrained
 from rmrll.rm import RmCode
 from rmrll.subcodes import (
+    _maximal_separated_sets,
     build_subcode,
+    is_rll_code,
     largest_linear_rll_subcode,
     subcode_rate,
 )
+
+from oracles import gap_ok, lattice_largest_rll_subcode
 
 
 def all_codewords(gen):
@@ -158,5 +164,77 @@ class TestOracle:
         assert basis == code.gen
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            largest_linear_rll_subcode(RmCode(5, 5), RllSpec(1))
+        # every length-32 code is searched; above it only r <= 1 has an answer
+        assert largest_linear_rll_subcode(RmCode(5, 5), RllSpec(1))[0] == 16
+        with pytest.raises(ValueError, match="length at most 32 or order at most 1"):
+            largest_linear_rll_subcode(RmCode(6, 2), RllSpec(1))
+
+    @pytest.mark.parametrize(
+        "d, r, want",
+        [
+            (1, 3, (11, 11, 15)),
+            (1, 4, (15, 15, 16)),
+            (1, 5, (16, 16, 16)),
+            (2, 3, (4, 6, 10)),
+            (2, 4, (7, 10, 11)),
+            (2, 5, (8, 11, 12)),
+            (3, 3, (4, 4, 14)),
+            (3, 4, (7, 7, 10)),
+            (3, 5, (8, 8, 8)),
+        ],
+    )
+    def test_pinned_m5_rows(self, d, r, want):
+        # (construction, exact, run bound); the construction is not optimal for d = 2
+        code, spec = RmCode(5, r), RllSpec(d)
+        dim, basis = largest_linear_rll_subcode(code, spec)
+        prof = run_profile(code.information_set(), lexicographic_ordering(5), spec)
+        bound = subcode_dimension_bound(code.k, prof.tuple_count, spec)
+        assert (build_subcode(code, spec).k, dim, bound) == want
+        assert basis.rank() == dim
+        assert is_rll_code(basis, d)
+
+
+LATTICE_CODES = (
+    [(m, r, d) for m in range(1, 5) for r in range(m + 1) for d in (1, 2, 3)]
+    + [(5, r, d) for r in range(3) for d in (1, 2, 3)]
+    + [(m, r, d) for m in range(6, 9) for r in range(2) for d in (1, 2, 3)]  # closed form
+    + [(3, 1, 8)]  # m < z: no anchored construction, and the optimum is 0
+)
+
+
+@pytest.mark.parametrize("m, r, d", LATTICE_CODES)
+def test_optimum_matches_lattice_search(m, r, d):
+    code, spec = RmCode(m, r), RllSpec(d)
+    dim, basis = largest_linear_rll_subcode(code, spec)
+    assert dim == lattice_largest_rll_subcode(code, spec)[0]
+    assert basis.nrows == basis.rank() == dim
+    # inside the code: adding the basis to the generator keeps its rank
+    assert BinaryMatrix(code.gen.row_values + basis.row_values, code.n).rank() == code.k
+    assert is_rll_code(basis, d)
+
+
+def test_maximal_separated_sets_match_filtered_cube():
+    for n in range(1, 11):
+        for d in range(5):
+
+            def separated(mask):
+                return gap_ok([(mask >> i) & 1 for i in range(n)], d)
+
+            want = {
+                s
+                for s in range(1 << n)
+                if separated(s) and not any(separated(s | 1 << i) for i in range(n) if not s >> i & 1)
+            }
+            got = list(_maximal_separated_sets(n, d, -d - 1))
+            assert len(got) == len(want) and set(got) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_rll_code_matches_enumerated_span(data):
+    n = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    d = data.draw(st.integers(0, n + 1))
+    gen = BinaryMatrix(rows, n)
+    want = all(gap_ok([(w >> i) & 1 for i in range(n)], d) for w in all_codewords(gen))
+    assert is_rll_code(gen, d) == want
