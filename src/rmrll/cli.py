@@ -381,10 +381,8 @@ def cmd_crossover(p: dict) -> tuple[list[str], int]:
         raise UsageError("d must be nonnegative")
     if p["part_exponent"] < 1:
         raise UsageError("part exponent must be at least 1")
-    if not 0.0 < p["tol"] <= 0.01:
-        raise UsageError("tol must lie in (0, 0.01]")
     spec = RllSpec(p["d"])
-    cstar = crossover_capacity(spec, p["part_exponent"], p["tol"])
+    cstar = crossover_capacity(spec, p["part_exponent"])
     if cstar is None:
         return ["crossover=none"], EXIT_OK
     lines = [
@@ -474,7 +472,6 @@ COMMANDS: dict[str, Command] = {
         (
             Opt("d", int, required=True, help="minimum zeros between 1s"),
             Opt("part_exponent", int, default=50, help="tail part-size exponent"),
-            Opt("tol", float, default=1e-6, help="bisection tolerance"),
         ),
     ),
     "perm-sweep": Command(

@@ -452,28 +452,26 @@ def coset_rate_lower_bound(
     return noiseless_cap * c * c / den
 
 
-def crossover_capacity(
-    spec: RllSpec, part_exponent: int, tol: float = 1e-6
-) -> float | None:
+def crossover_capacity(spec: RllSpec, part_exponent: int) -> float | None:
     """Channel capacity above which the coset bound beats the plain
-    anchored-subcode bound C * 2^-z, or None when no crossover exists
-    in (0, 1)."""
+    anchored-subcode bound C * 2^-z, or None when none lies in (0, 1].
+
+    With a = 2^-z, b = 1 + C0 and e = 1 + 2^-part_exponent, the coset
+    bound exceeds C * a at C > 0 exactly when q(C) = a C^2 - b C + e < 0.
+    As b <= 2, q(C) >= e - 2C > 0 for C <= 1/2.  For z >= 1 the vertex
+    b / (2a) = (1 + C0) 2^(z-1) is at least 1, so q falls on (0, 1] and
+    has a root there exactly when q(1) < 0; for z = 0, C0 = 1 and
+    q(C) = (1 - C)^2 + 2^-part_exponent > 0.  q(1) < 0 is tested as the
+    bound at C = 1, C0 / (1 + 2^(z - part_exponent)) > a, where no small
+    term is added to 1 and lost.  The crossover is then the smaller root,
+    2e / (b + sqrt(b^2 - 4ae)): nothing cancels, and a = 0 gives e / b.
+    """
     c0 = noiseless_capacity(spec)
-    scale = 2.0 ** (-spec.anchor_count)
-
-    def gap(c: float) -> float:
-        return coset_rate_lower_bound(c0, c, spec, part_exponent) - c * scale
-
-    grid = [k / 1000.0 for k in range(1, 1001)]
-    lo = None
-    hi = None
-    for a, b in zip(grid, grid[1:]):
-        if gap(a) <= 0.0 < gap(b):
-            lo, hi = a, b
-            break
-    if lo is None:
+    a = math.ldexp(1.0, -spec.anchor_count)
+    if coset_rate_lower_bound(c0, 1.0, spec, part_exponent) <= a:
         return None
-    return _bisect(lambda c: gap(c) <= 0.0, lo, hi, tol)
+    b, e = 1.0 + c0, 1.0 + math.ldexp(1.0, -part_exponent)
+    return 2.0 * e / (b + math.sqrt(b * b - 4.0 * a * e))
 
 
 def bsc_threshold(capacity_value: float) -> float:

@@ -116,14 +116,14 @@ def _bisect(below, lo: float, hi: float, tol: float) -> float:
     return (lo + hi) / 2
 
 
-def noiseless_capacity(spec: RllSpec, tol: float = 1e-12) -> float:
+def noiseless_capacity(spec: RllSpec) -> float:
     """log2 of the growth rate of the constrained-word count.
 
     The growth rate is the unique root x = 1 + delta in [1, 2] of
     x**(d+1) = x**d + 1, that is of the increasing, overflow-free
     d*log1p(delta) + log(delta) = 0.  The root is found by bisection on
-    log(delta) to ``tol``, so delta, and the returned log1p(delta) / log(2),
-    carry a relative error of about ``tol`` however small delta is (about
+    log(delta) to 1e-12, so delta, and the returned log1p(delta) / log(2),
+    carry a relative error of about 1e-12 however small delta is (about
     ln(d)/d for large d).  d = 0 is unconstrained and returns 1.0 exactly.
 
     The bracket's low end is the smallest normal float, where the test
@@ -136,7 +136,7 @@ def noiseless_capacity(spec: RllSpec, tol: float = 1e-12) -> float:
         return 1.0
     d = min(d, 2**1023)
     log_delta = _bisect(
-        lambda u: d * math.log1p(math.exp(u)) + u < 0, math.log(sys.float_info.min), 0.0, tol
+        lambda u: d * math.log1p(math.exp(u)) + u < 0, math.log(sys.float_info.min), 0.0, 1e-12
     )
     return math.log1p(math.exp(log_delta)) / math.log(2)
 

@@ -2,19 +2,20 @@
 
 Everything here is deliberately naive and written against plain numpy
 arrays / Python lists, sharing no code paths with the package, so a bug
-in the packed-integer implementations cannot hide in its own test.  Two
+in the packed-integer implementations cannot hide in its own test.  Three
 exceptions keep a search or elimination the package used to run as the
-reference for what replaced it: ``eliminated_inner_maps`` and
-``lattice_largest_rll_subcode``.
+reference for what replaced it: ``eliminated_inner_maps``,
+``lattice_largest_rll_subcode`` and ``grid_bisection_crossover``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from rmrll.coset import coset_rate_lower_bound
 from rmrll.gf2 import BinaryMatrix, BitWord
 from rmrll.ordering import lexicographic_ordering, run_profile, subcode_dimension_bound
-from rmrll.rll import is_constrained_value
+from rmrll.rll import _bisect, is_constrained_value, noiseless_capacity
 
 
 def numpy_rank(matrix: np.ndarray) -> int:
@@ -276,3 +277,27 @@ def lattice_largest_rll_subcode(code, spec) -> tuple[int, BinaryMatrix]:
 
     extend([], {0}, 0, sorted(good))
     return len(best), BinaryMatrix(best, code.n)
+
+
+def grid_bisection_crossover(spec, part_exponent: int, tol: float) -> float | None:
+    """Capacity crossover by a 1,000-point grid scan of the gap between
+    the coset bound and the plain bound C * 2^-z, then bisection to
+    ``tol``, or None when no grid step crosses.  The search
+    ``coset.crossover_capacity`` ran before the closed form replaced it,
+    kept as its reference."""
+    c0 = noiseless_capacity(spec)
+    scale = 2.0 ** (-spec.anchor_count)
+
+    def gap(c: float) -> float:
+        return coset_rate_lower_bound(c0, c, spec, part_exponent) - c * scale
+
+    grid = [k / 1000.0 for k in range(1, 1001)]
+    lo = None
+    hi = None
+    for a, b in zip(grid, grid[1:]):
+        if gap(a) <= 0.0 < gap(b):
+            lo, hi = a, b
+            break
+    if lo is None:
+        return None
+    return _bisect(lambda c: gap(c) <= 0.0, lo, hi, tol)

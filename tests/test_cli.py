@@ -88,6 +88,7 @@ PARSER_ARGV = [
     ["coset-trial", "--m", "x"],
     ["coset-trial", "--bogus", "1"],
     ["crossover", "--tol"],
+    ["crossover", "--d", "1", "--tol", "1e-6"],
     ["verify-lemmas", "--m-m", "3"],
     ["--", "crossover", "--d", "1"],
     [*COSET_ARGV, "--out", "-"],
@@ -744,12 +745,12 @@ class TestCrossover:
         assert code == 0
         assert "capacity_crossover=" in text
 
-    def test_tolerance_below_float_spacing_terminates(self, tmp_path):
-        # no float bracket around 0.76 is 1e-300 wide; bisection stops
-        # once its ends are adjacent floats
-        code, text = run(tmp_path, "crossover", "--d", "1", "--tol", "1e-300")
-        assert code == 0
-        assert "capacity_crossover=0.761260" in text
+    def test_tolerance_config_key_rejected(self, tmp_path, capsys):
+        # the crossover is exact, so a config that still sets tol is invalid
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=1\ntol=1e-6\n", encoding="utf-8")
+        assert main(["crossover", "--config", str(cfg)]) == 2
+        assert "unknown config key 'tol'" in capsys.readouterr().err
 
 
 class TestPermSweep:

@@ -28,7 +28,13 @@ from rmrll.rll import (
 )
 from rmrll.rm import RmCode, select_order
 
-from oracles import column_scan_rref, eliminated_inner_maps, per_bit_gather, weight_order
+from oracles import (
+    column_scan_rref,
+    eliminated_inner_maps,
+    grid_bisection_crossover,
+    per_bit_gather,
+    weight_order,
+)
 
 
 def observe(word, flips=(), erasures=()):
@@ -685,20 +691,45 @@ class TestCrossover:
         # C^2 - 2 (1 + C0) C + 2 = 0 for d = 1
         c0 = noiseless_capacity(RllSpec(1))
         root = (1 + c0) - math.sqrt((1 + c0) ** 2 - 2)
-        assert crossover_capacity(RllSpec(1), 50) == pytest.approx(root, abs=1e-5)
+        assert crossover_capacity(RllSpec(1), 50) == pytest.approx(root, abs=1e-12)
 
     def test_gap_changes_sign_at_crossover(self):
-        spec = RllSpec(2)
-        c0 = noiseless_capacity(spec)
-        cstar = crossover_capacity(spec, 40)
-        assert cstar is not None
+        for d in (1, 2, 3, 5):
+            spec = RllSpec(d)
+            c0 = noiseless_capacity(spec)
+            cstar = crossover_capacity(spec, 40)
+            assert cstar is not None
 
-        def gap(c):
-            return coset_rate_lower_bound(c0, c, spec, 40) - c * 2.0 ** (
-                -spec.anchor_count
-            )
+            def gap(c):
+                return coset_rate_lower_bound(c0, c, spec, 40) - c * 2.0 ** (
+                    -spec.anchor_count
+                )
 
-        assert gap(cstar - 0.01) < 0 < gap(cstar + 0.01)
+            assert gap(cstar - 1e-9) < 0 < gap(cstar + 1e-9), d
+
+    def test_matches_grid_bisection(self):
+        for d in range(41):
+            for pe in range(1, 61):
+                got = crossover_capacity(RllSpec(d), pe)
+                want = grid_bisection_crossover(RllSpec(d), pe, 1e-14)
+                assert (got is None) == (want is None), (d, pe)
+                assert got is None or abs(got - want) <= 1e-12, (d, pe)
+
+    def test_existence_matches_grid_bisection_for_huge_parameters(self):
+        # q(1) in floats decides wrongly at d = 2^60, tau >= 55, and
+        # 2^-z + 2^-tau < C0 at d = 10^400, tau = 1100 (C0 is capped at d = 2^1023)
+        huge_d = (100, 1000, 5000, 10**6, 2**60, 10**400, 2**1080)
+        huge_pe = (100, 1100, 2000, 10**400)
+        pairs = [(d, pe) for d in huge_d for pe in (*range(1, 70), *huge_pe)]
+        pairs += [(d, pe) for d in range(70) for pe in huge_pe]
+        for d, pe in pairs:
+            got = crossover_capacity(RllSpec(d), pe)
+            want = grid_bisection_crossover(RllSpec(d), pe, 1e-6)
+            assert (got is None) == (want is None), (d, pe)
+
+    def test_part_exponent_validation(self):
+        with pytest.raises(ValueError, match="part exponent"):
+            crossover_capacity(RllSpec(1), 0)
 
     def test_unconstrained_has_no_crossover(self):
         assert crossover_capacity(RllSpec(0), 50) is None

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -122,11 +124,6 @@ class TestCapacity:
         # beyond the cap the value at 2**1023 bounds the capacity from above
         assert noiseless_capacity(RllSpec(10**400)) == caps[-1]
 
-    def test_zero_tolerance_terminates(self):
-        for d in (1, 2, 5000):
-            exact = noiseless_capacity(RllSpec(d), tol=0.0)
-            assert abs(exact - noiseless_capacity(RllSpec(d))) < 1e-11
-
     def test_large_gap_is_finite(self):
         # x**(d+1) overflows a float at these gaps; the log-form test does not
         for d in (5000, 10**6):
@@ -142,6 +139,26 @@ class TestCapacity:
             delta = math.expm1(noiseless_capacity(RllSpec(d)) * math.log(2))
             residual = d * math.log1p(delta) + math.log(delta)
             assert abs(residual) <= 1e-10 * abs(math.log(delta)), d
+
+
+class TestBisect:
+    def test_zero_tolerance_stops_at_adjacent_floats(self):
+        # no bracket is 0 wide; bisection stops once its ends are
+        # adjacent floats, and returns one of them
+        cases = (
+            (0.76, 0.0, 1.0),
+            (-1e-300, -1.0, 1.0),
+            (1e300, 0.0, 1e308),
+            (math.log(1e-300), math.log(sys.float_info.min), 0.0),
+        )
+        for root, lo, hi in cases:
+            steps = itertools.count()
+
+            def below(x):
+                assert next(steps) < 2200, "bisection did not stop"
+                return x < root
+
+            assert rll._bisect(below, lo, hi, 0.0) in (math.nextafter(root, -math.inf), root)
 
 
 class TestEnumerative:
