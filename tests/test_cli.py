@@ -16,6 +16,8 @@ from rmrll.rll import RllSpec, noiseless_capacity
 from rmrll.rm import complement_basis
 from rmrll.subcodes import RllSubcode
 
+from oracles import grid_bisection_crossover
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.csv"
@@ -744,6 +746,16 @@ class TestCrossover:
         code, text = run(tmp_path, "crossover", "--d", str(2**1080), "--part-exponent", "2000")
         assert code == 0
         assert "capacity_crossover=" in text
+
+    def test_tolerance_below_float_spacing_terminates(self, tmp_path):
+        # no float bracket around 0.76 is 1e-300 wide; the grid-plus-bisection
+        # search the closed form replaced stops once its ends are adjacent
+        # floats, and agrees with the printed crossover
+        code, text = run(tmp_path, "crossover", "--d", "1")
+        assert code == 0
+        assert "capacity_crossover=0.761260" in text
+        reference = grid_bisection_crossover(RllSpec(1), 50, 1e-300)
+        assert f"capacity_crossover={reference:.6f}" in text
 
     def test_tolerance_config_key_rejected(self, tmp_path, capsys):
         # the crossover is exact, so a config that still sets tol is invalid

@@ -124,6 +124,19 @@ class TestCapacity:
         # beyond the cap the value at 2**1023 bounds the capacity from above
         assert noiseless_capacity(RllSpec(10**400)) == caps[-1]
 
+    def test_zero_tolerance_terminates(self):
+        # the capacity's own bisection, run at tol 0, stops at adjacent
+        # floats and agrees with the value at the fixed 1e-12
+        for d in (1, 2, 5000):
+            log_delta = rll._bisect(
+                lambda u, d=d: d * math.log1p(math.exp(u)) + u < 0,
+                math.log(sys.float_info.min),
+                0.0,
+                0.0,
+            )
+            exact = math.log1p(math.exp(log_delta)) / math.log(2)
+            assert abs(exact - noiseless_capacity(RllSpec(d))) < 1e-11
+
     def test_large_gap_is_finite(self):
         # x**(d+1) overflows a float at these gaps; the log-form test does not
         for d in (5000, 10**6):
