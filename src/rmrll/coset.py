@@ -24,7 +24,7 @@ from operator import and_
 import numpy as np
 
 from .channels import BEC, BSC, ERASED, binary_entropy
-from .gf2 import BitWord, BinaryMatrix, _byte_tables, _pack_bits, _table_mul
+from .gf2 import BitWord, BinaryMatrix, _byte_tables, _int_of, _pack_bits, _table_mul
 from .ordering import Ordering
 from .rll import (
     RllSpec,
@@ -38,8 +38,8 @@ from .rll import (
 from .rm import (
     RmCode,
     _dimension,
+    _point_weights,
     _superset_sum_masks,
-    _weight_classes,
     select_order,
     systematic_generator,
 )
@@ -145,10 +145,12 @@ class CosetPlan:
 
     @cached_property
     def inner_maps(self) -> InnerMaps:
-        """Pivots and byte tables of the inner code, built on first use."""
-        gen, m = self.inner.gen, self.inner.parent.m
-        points = [(row & -row).bit_length() - 1 for row in gen.row_values]  # x_T's T
-        masks = _superset_sum_masks(self.inner_order, _weight_classes(m))
+        """Pivots and byte tables of the inner code, built on first use from
+        its rows' points and a mask of the inner points of each weight."""
+        gen, m, points = self.inner.gen, self.inner.parent.m, self.inner.points
+        classes = _point_weights(m) == np.arange(m + 1)[:, None]  # row w: the points of weight w
+        packed = np.packbits(classes, axis=1, bitorder="little")
+        masks = _superset_sum_masks(self.inner_order, list(map(_int_of, packed)))
         by_point = sorted(range(len(points)), key=points.__getitem__)
         pivots = [points[i] for i in by_point]
         # bit i of marks[b]: row i's T has bit b; AND over p's bits: [p <= T]

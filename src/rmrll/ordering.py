@@ -205,7 +205,7 @@ def permutation_bound_experiment(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    info = np.fromiter(code.information_set(), np.intp)  # one conversion for all samples
+    info = np.array(code.points, np.intp)  # one conversion for all samples
     out = []
     for i in range(samples):
         ordering = sample_permutation(code.m, [seed, i])

@@ -9,9 +9,10 @@ in that of point b, so x_T(b) = 1 exactly when T <= b.
 Every generator row is an x_T from one evaluator, ``_and_products``,
 listed by ascending weight of T, then descending index: ascending
 degree, then lexicographic order of the variables.  So RM(m, r) is the
-first k rows of RM(m, m), and ``complement_basis`` holds the rest.  A
-row's point T is its lowest set bit, so the anchored subcode
-(``subcodes.build_subcode``) is the parent's rows at anchored points.
+first k rows of RM(m, m), and ``complement_basis`` holds the rest.
+``RmCode.points`` records each row's T, so the anchored subcode
+(``subcodes.build_subcode``) is the parent's rows at anchored points,
+selected by point alone.
 
 Both systematic forms in the library are built in closed form, with no
 elimination.  Let F be the points T >= A with |T| <= r, for a fixed
@@ -42,12 +43,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .gf2 import BitWord, BinaryMatrix
-from .rll import _bisect
 
 __all__ = [
     "point_of_index",
@@ -119,15 +120,6 @@ def _point_weights(m: int) -> np.ndarray:
     return weights
 
 
-def _weight_classes(m: int) -> list[int]:
-    """The points of each weight w in 0..m as an int mask, by index, from
-    the same m doubling steps as ``_point_weights``."""
-    classes = [1]
-    for b in range(m):
-        classes = [low | high << (1 << b) for low, high in zip(classes + [0], [0] + classes)]
-    return classes
-
-
 def information_points(m: int, r: int) -> tuple[int, ...]:
     """Point indices of weight at most r, by ascending weight, then index.
 
@@ -143,16 +135,19 @@ def information_points(m: int, r: int) -> tuple[int, ...]:
 
 
 class RmCode:
-    """Length 2**m evaluation code of all m-variate polynomials of degree <= r."""
+    """Length 2**m evaluation code of all m-variate polynomials of degree
+    <= r.  Row i of ``gen`` is x_T for the point T = ``points[i]``."""
 
     def __init__(self, m: int, r: int):
         self.k = _dimension(m, r)
         self.m = m
         self.r = r
         self.n = 1 << m
-        weights, rows = _point_weights(m), _and_products(m, None, r)
-        points = [(weights == w).nonzero()[0][::-1] for w in range(r + 1)]  # the row order
-        self.gen = BinaryMatrix._trusted([rows[a] for a in np.concatenate(points).tolist()], self.n)
+        # ascending weight, then descending index: a stable sort of the reversed weights
+        order = np.argsort(_point_weights(m)[::-1], kind="stable")[: self.k]
+        self.points: tuple[int, ...] = tuple(((self.n - 1) - order).tolist())
+        rows = _and_products(m, None, r)
+        self.gen = BinaryMatrix._trusted([rows[a] for a in self.points], self.n)
 
     def __repr__(self) -> str:
         return f"RmCode(m={self.m}, r={self.r})"
@@ -160,29 +155,25 @@ class RmCode:
     def information_set(self) -> frozenset[int]:
         """The ``information_points`` of the code, where systematic
         encoding can pin the message bits."""
-        return frozenset(information_points(self.m, self.r))
+        return frozenset(self.points)
 
 
-def _and_products(m: int, order, depth: int, complemented: bool = False) -> list[int]:
-    """The AND of the variable patterns of each point a's variables (with
-    ``complemented``, of their complements), by index, for the a of
-    weight at most ``depth`` (0 for the others), in the column order
-    ``order`` (None: the natural order).  Uncomplemented, it is x_a.
+def _and_products(m: int, order, depth: int) -> list[int]:
+    """x_a, the AND of the variable patterns of point a's variables, by
+    index, for the a of weight at most ``depth`` (0 for the others), in
+    the column order ``order`` (None: the natural order).
 
     Only the m variable patterns are gathered.  Then by doubling, the
     points in [2**b, 2**(b+1)) are those below 2**b with bit b added, so
     each product is one AND.
     """
     n = 1 << m
-    full = (1 << n) - 1
     patterns = _variable_patterns(m)
     if order is not None:
         patterns = BinaryMatrix._trusted(patterns, n).column_submatrix(order).row_values
     weights = _point_weights(m).tolist()
-    out = [full]
+    out = [(1 << n) - 1]
     for pattern in reversed(patterns):  # index bit b is x_(m - b)
-        if complemented:
-            pattern ^= full
         out += [x & pattern if w < depth else 0 for x, w in zip(out, weights)]
     return out
 
@@ -190,9 +181,10 @@ def _and_products(m: int, order, depth: int, complemented: bool = False) -> list
 def _down_set_columns(m: int, order) -> list[int]:
     """Column b of the matrix x_a(b) with the rows a in ``order``, for
     every point b by index: bit p is 1 exactly when order[p] has no
-    variable outside b, so the column is the complemented
-    ``_and_products`` at b's complement, 2**m - 1 - b."""
-    return _and_products(m, order, m, complemented=True)[::-1]
+    variable outside b, that is when ~b <= ~order[p].  So the column is
+    ``_and_products`` on the complemented order at b's complement,
+    2**m - 1 - b."""
+    return _and_products(m, np.subtract((1 << m) - 1, order), m)[::-1]
 
 
 def _superset_sum_masks(r: int, classes: Sequence[int]) -> list[int]:
@@ -242,24 +234,19 @@ def complement_basis(m: int, r: int) -> BinaryMatrix:
     return BinaryMatrix._trusted(RmCode(m, m).gen.row_values[k:], 1 << m)
 
 
-def _q_function(x: float) -> float:
-    """Upper tail of the standard normal distribution."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def select_order(m: int, rate: float) -> int:
     """Order whose code keeps roughly a ``rate`` fraction of dimensions.
 
-    Returns max(floor(m/2 + sqrt(m)/2 * Qinv(1 - rate)), 0) clipped to m,
-    with the Gaussian inverse computed by bisection to absolute accuracy
-    1e-12.  A tiny floor guard absorbs bisection error when the
-    argument lands exactly on an integer (for example rate = 1/2).
+    Returns max(floor(m/2 + sqrt(m)/2 * Qinv(1 - rate)), 0) clipped to m.
+    Qinv(1 - rate) is the standard normal quantile at ``rate``
+    (``NormalDist.inv_cdf``), read without forming 1 - rate, which
+    loses the low digits of a rate below about 1e-7.  A tiny floor guard
+    keeps an argument that should land exactly on an integer (for
+    example rate = 1/2) from rounding down past it.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie strictly between 0 and 1")
-    p = 1.0 - rate
-    q = _bisect(lambda x: _q_function(x) > p, -10.0, 10.0, 1e-12)
-    v = m / 2.0 + math.sqrt(m) / 2.0 * q
+    v = m / 2.0 + math.sqrt(m) / 2.0 * NormalDist().inv_cdf(rate)
     return min(max(math.floor(v + 1e-9), 0), m)

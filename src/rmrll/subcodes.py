@@ -22,6 +22,7 @@ shortens C to the positions 2**z - 1 mod 2**z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from typing import Iterator
 
@@ -48,6 +49,7 @@ class RllSubcode:
     spec: RllSpec
     gen: BinaryMatrix
     k: int
+    points: tuple[int, ...]  # row i is the parent's x_T for T = points[i]
 
     def encode(self, u: BitWord) -> BitWord:
         return self.gen.vecmat(u)
@@ -57,15 +59,17 @@ def build_subcode(parent: RmCode, spec: RllSpec) -> RllSubcode:
     """Anchored-monomial subcode of dimension C(m-z, <= r-z).
 
     Its rows are the parent's rows (x_{m-z+1} * ... * x_m) * g, g of
-    degree <= r - z in the first m - z variables: those whose point (its
-    lowest set bit) has its low z bits all 1.  r < z gives the zero code.
+    degree <= r - z in the first m - z variables: those whose point
+    (``RmCode.points``) has its low z bits all 1, kept in parent order
+    with their points.  r < z gives the zero code.
     """
     z = spec.anchor_count
     if parent.m < z:
         raise ValueError(f"need m >= {z} to anchor the gap constraint for d={spec.d}")
     low = (1 << z) - 1  # the anchor variables' bits of a point
-    rows = [row for row in parent.gen.row_values if ((row & -row).bit_length() - 1) & low == low]
-    return RllSubcode(parent, spec, BinaryMatrix._trusted(rows, parent.n), len(rows))
+    keep = [t & low == low for t in parent.points]
+    rows, points = list(compress(parent.gen.row_values, keep)), tuple(compress(parent.points, keep))
+    return RllSubcode(parent, spec, BinaryMatrix._trusted(rows, parent.n), len(rows), points)
 
 
 def subcode_rate(m: int, r: int, spec: RllSpec) -> float:

@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive and written against plain numpy
 arrays / Python lists, sharing no code paths with the package, so a bug
-in the packed-integer implementations cannot hide in its own test.  Three
+in the packed-integer implementations cannot hide in its own test.  Four
 exceptions keep a search or elimination the package used to run as the
 reference for what replaced it: ``eliminated_inner_maps``,
-``lattice_largest_rll_subcode`` and ``grid_bisection_crossover``.
+``lattice_largest_rll_subcode``, ``grid_bisection_crossover`` and
+``bisection_select_order``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -301,3 +304,15 @@ def grid_bisection_crossover(spec, part_exponent: int, tol: float) -> float | No
     if lo is None:
         return None
     return _bisect(lambda c: gap(c) <= 0.0, lo, hi, tol)
+
+
+def bisection_select_order(m: int, rate: float) -> int:
+    """max(floor(m/2 + sqrt(m)/2 * Qinv(1 - rate)), 0) clipped to m, with
+    Qinv found by bisecting the upper normal tail Q on [-10, 10] to
+    1e-12.  The rule ``rm.select_order`` ran before the normal quantile
+    replaced it, kept as its reference; it forms 1 - rate, so it loses
+    the low digits of a rate below about 1e-7."""
+    p = 1.0 - rate
+    q = _bisect(lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)) > p, -10.0, 10.0, 1e-12)
+    v = m / 2.0 + math.sqrt(m) / 2.0 * q
+    return min(max(math.floor(v + 1e-9), 0), m)

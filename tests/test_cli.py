@@ -479,7 +479,7 @@ class TestSubcodeOracle:
             monkeypatch.setattr(cli, "largest_linear_rll_subcode", lambda code, spec: (1, ones))
         else:
             monkeypatch.setattr(
-                cli, "build_subcode", lambda code, spec: RllSubcode(code, spec, ones, 1)
+                cli, "build_subcode", lambda code, spec: RllSubcode(code, spec, ones, 1, (0,))
             )
         code, text = run(tmp_path, "subcode-oracle", "--m", "3", "--r", "1", "--d", "1")
         assert code == 1

@@ -1,5 +1,6 @@
 import hashlib
 from math import comb
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rmrll.rm import (
     _down_set_columns,
     _point_weights,
     _variable_patterns,
-    _weight_classes,
     complement_basis,
     eval_monomial,
     information_points,
@@ -23,6 +23,7 @@ from rmrll.rm import (
 from rmrll.subcodes import build_subcode
 
 from oracles import (
+    bisection_select_order,
     eval_monomial_pointwise,
     min_nonzero_weight,
     numpy_rank,
@@ -147,10 +148,22 @@ class TestPointWeights:
         for m in range(13):
             weights = _point_weights(m)
             assert weights.tolist() == [i.bit_count() for i in range(1 << m)]
-            classes = _weight_classes(m)
-            assert classes == [
-                sum(1 << i for i in range(1 << m) if i.bit_count() == w) for w in range(m + 1)
-            ]
+
+
+class TestRowPoints:
+    def test_point_is_the_rows_lowest_set_bit(self):
+        # x_T is 0 below T and 1 at T, so its lowest set bit is T
+        for m in range(1, 11):
+            for r in range(m + 1):
+                code = RmCode(m, r)
+                assert code.points == tuple(
+                    (row & -row).bit_length() - 1 for row in code.gen.row_values
+                )
+
+    def test_information_set_is_the_points(self):
+        for m in range(1, 11):
+            for r in range(m + 1):
+                assert RmCode(m, r).information_set() == frozenset(information_points(m, r))
 
 
 class TestInformationSet:
@@ -271,6 +284,20 @@ class TestSelectOrder:
         for m in (4, 9, 16):
             orders = [select_order(m, rate / 20) for rate in range(1, 20)]
             assert orders == sorted(orders)
+
+    def test_matches_bisection_oracle(self):
+        # every m <= 39 at the rate k / 2**M of every RM(M, r) with r < M,
+        # M <= 24, and a seeded random grid
+        rates = [_dimension(M, r) / (1 << M) for M in range(1, 25) for r in range(M)]
+        cases = [(m, rate) for m in range(1, 40) for rate in rates]
+        rng = np.random.default_rng(24)
+        cases += zip(rng.integers(1, 40, 20_000).tolist(), rng.random(20_000).tolist())
+        assert [c for c in cases if select_order(*c) != bisection_select_order(*c)] == []
+
+    def test_tiny_rate_on_an_integer_boundary(self):
+        # m/2 + sqrt(m)/2 * Qinv(1 - rate) is exactly 1 here; the quantile
+        # at the rate keeps the digits that 1 - rate would lose
+        assert select_order(36, NormalDist().cdf(-17 / 3)) == 1
 
     def test_bounds(self):
         for m in (1, 3, 10):

@@ -71,6 +71,21 @@ class TestConstruction:
             for pos in BitWord(row, sub.gen.ncols).support():
                 assert pos % (1 << z) == (1 << z) - 1
 
+    def test_points_are_the_parents_anchored_points(self):
+        # in parent order, each with its parent row
+        for m in range(1, 11):
+            for r in range(m + 1):
+                parent = RmCode(m, r)
+                lowest = [(row & -row).bit_length() - 1 for row in parent.gen.row_values]
+                for d in range(4):
+                    low = (1 << RllSpec(d).anchor_count) - 1
+                    if m < low.bit_length():
+                        continue
+                    sub = build_subcode(parent, RllSpec(d))
+                    keep = [i for i, t in enumerate(lowest) if t & low == low]
+                    assert sub.points == tuple(lowest[i] for i in keep)
+                    assert sub.gen.row_values == tuple(parent.gen.row_values[i] for i in keep)
+
     def test_d0_reproduces_parent(self):
         parent = RmCode(3, 2)
         sub = build_subcode(parent, RllSpec(0))
