@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 
 import numpy as np
 
 from .channels import BEC, BSC, ERASED, binary_entropy
-from .gf2 import BitWord, BinaryMatrix, _byte_tables, _int_of, _pack_bits, _table_mul
+from .gf2 import BitWord, BinaryMatrix, _byte_tables, _pack_bits, _table_mul
 from .ordering import Ordering
 from .rll import (
     RllSpec,
@@ -37,9 +36,9 @@ from .rll import (
 )
 from .rm import (
     RmCode,
+    _and_products,
     _dimension,
-    _point_weights,
-    _superset_sum_masks,
+    _reduced_rows,
     select_order,
     systematic_generator,
 )
@@ -70,12 +69,10 @@ class InnerMaps:
     """The inner code's maps for decoding and encoding.
 
     ``rref`` is the reduced row-echelon form R of the inner generator G,
-    ``pivots`` its pivot columns, ascending (the ``rm`` closed form).
-    With G_P the columns of G at the pivots, R = G_P^-1 G, so u G carries
-    v = u G_P at the pivots and equals v R.  ``codeword`` maps u to u G
-    and ``message`` v back to u = v G_P^-1, one table lookup per byte.
-    G_P is the inclusion matrix [T <= p], its own inverse up to the order
-    of rows (generator order) and columns (by point), which G_P^-1 swaps.
+    ``pivots`` its pivot columns, ascending.  With G_P the columns of G at
+    the pivots, R = G_P^-1 G, so u G carries v = u G_P at the pivots and
+    equals v R.  ``codeword`` maps u to u G and ``message`` v back to
+    u = v G_P^-1, one table lookup per byte (closed forms: ``rm`` docstring).
     """
 
     pivots: np.ndarray
@@ -145,25 +142,16 @@ class CosetPlan:
 
     @cached_property
     def inner_maps(self) -> InnerMaps:
-        """Pivots and byte tables of the inner code, built on first use from
-        its rows' points and a mask of the inner points of each weight."""
-        gen, m, points = self.inner.gen, self.inner.parent.m, self.inner.points
-        classes = _point_weights(m) == np.arange(m + 1)[:, None]  # row w: the points of weight w
-        packed = np.packbits(classes, axis=1, bitorder="little")
-        masks = _superset_sum_masks(self.inner_order, list(map(_int_of, packed)))
-        by_point = sorted(range(len(points)), key=points.__getitem__)
-        pivots = [points[i] for i in by_point]
-        # bit i of marks[b]: row i's T has bit b; AND over p's bits: [p <= T]
-        marks = [sum(1 << i for i, t in enumerate(points) if t >> b & 1) for b in range(m)]
-        full = (1 << len(points)) - 1
-        inclusion = [reduce(and_, (marks[b] for b in range(m) if p >> b & 1), full) for p in pivots]
+        """Pivots (the rows' points T, ascending) and byte tables of the inner
+        code, built on first use; G_P^-1 is [p <= T], x_p at the points T."""
+        gen, m, r, points = self.inner.gen, self.inner.parent.m, self.inner_order, self.inner.points
+        pivots = sorted(points)
+        inclusion = _and_products(m, points, r)  # bit i of row p: [p <= points[i]]
         return InnerMaps(
             pivots=np.array(pivots, dtype=np.intp),
-            rref=BinaryMatrix._trusted(
-                [gen.row_values[i] & masks[points[i].bit_count()] for i in by_point], gen.ncols
-            ),
+            rref=BinaryMatrix._trusted(_reduced_rows(m, r, pivots), gen.ncols),
             to_codeword=_byte_tables(gen.row_values),
-            to_message=_byte_tables(inclusion),
+            to_message=_byte_tables([inclusion[p] for p in pivots]),
         )
 
     @cached_property
@@ -185,13 +173,13 @@ def build_plan(
     When no inner order is given, the order-selection rule is applied to
     the inner length with the outer code rate.
     """
+    k, length = _dimension(m, r), 1 << m
     z = spec.anchor_count
     if part_exponent < 1:
         raise ValueError("part exponent must be at least 1")
     n_inner = m - part_exponent + z
     if n_inner < 1:
         raise ValueError("part exponent too large: parts would be empty")
-    k, length = _dimension(m, r), 1 << m
     picked = inner_order is None
     if picked:
         if k == length:

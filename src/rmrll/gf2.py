@@ -22,6 +22,7 @@ and enters the basis with no XOR.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -147,15 +148,20 @@ def _index_array(items: Iterable[int], n: int, message: str) -> np.ndarray:
     """``items`` as an index array, each entry checked to lie in [0, n).
 
     A 1-D integer array is taken as it is (not copied); anything else is
-    read once by ``fromiter``.  An entry outside the range, including
-    one too large for int64, raises ``ValueError(message)``: numpy would
-    read -1 as the last entry.
+    read once by ``fromiter``, each entry through ``operator.index``, so
+    a float or a string raises ValueError instead of being truncated or
+    parsed.  An entry outside the range, including one too large for
+    int64, raises ``ValueError(message)``: numpy would read -1 as the
+    last entry.
     """
     if isinstance(items, np.ndarray) and items.ndim == 1 and items.dtype.kind in "iu":
         arr = items
     else:
+        entries = map(operator.index, items)
         try:
-            arr = np.fromiter(items, np.intp)
+            arr = np.fromiter(entries, np.intp)
+        except TypeError:
+            raise ValueError("index entries must be integers") from None
         except OverflowError:
             raise ValueError(message) from None
     if arr.size and (arr.min() < 0 or arr.max() >= n):
@@ -268,6 +274,8 @@ class BinaryMatrix:
         if not rows:
             raise ValueError("cannot infer column count from no rows")
         ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("rows must have equal length")
         return cls([BitWord.from_string(r) for r in rows], ncols)
 
     @property

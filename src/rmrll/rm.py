@@ -21,14 +21,15 @@ counts at a point b >= a the T made of a and at most r - |a| of the
 s = |b| - |a| other bits of b, so R_a(b) = C(s, 0) + ... + C(s, r - |a|)
 mod 2.  For b in F, s <= r - |a| and the sum is 2**s, odd exactly when
 b = a: the inclusion matrix [a <= b] on F is its own inverse over GF(2).
-The sum depends only on |a| and |b|, so R_a = x_a & mask(|a|)
-(``_superset_sum_masks``).  With A = 0, the R_a by the weight order
-(``information_points``) are [I | P] of RM(m, r) on that column order
+The sum depends only on |a| and |b|, so R_a = x_a & mask(|a|), which
+``_reduced_rows`` alone builds for both forms.  With A = 0, the R_a by
+the weight order are [I | P] of RM(m, r) on that column order
 (``systematic_generator``).  For an inner subcode's anchored family, as
 each x_T is 0 below T, the R_a by ascending a are its generator's
-reduced row-echelon form, pivots at F, and the inclusion matrix maps the
-pivot values back to the message (``coset.CosetPlan.inner_maps``).  Both
-forms are unique, so they equal elimination's result bit for bit.
+reduced row-echelon form, pivots at F, and the inclusion matrix (x_p at
+the row points) maps the pivot values back to the message
+(``coset.CosetPlan.inner_maps``).  Both forms are unique, so they equal
+elimination's result bit for bit.
 
 In the weight order the monomials x_T, listed by T in that order, put
 RM(m, r)'s generator in the first k rows and its information set in the
@@ -48,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf2 import BitWord, BinaryMatrix
+from .gf2 import BitWord, BinaryMatrix, _int_of
 
 __all__ = [
     "point_of_index",
@@ -120,18 +121,24 @@ def _point_weights(m: int) -> np.ndarray:
     return weights
 
 
+@lru_cache(maxsize=64)
+def _weight_order(m: int) -> np.ndarray:
+    """Every point index by ascending weight, then index (read-only)."""
+    order = np.argsort(_point_weights(m), kind="stable")  # ties keep index order
+    order.flags.writeable = False  # cached
+    return order
+
+
 def information_points(m: int, r: int) -> tuple[int, ...]:
     """Point indices of weight at most r, by ascending weight, then index.
 
     They are the information set of RM(m, r): there are exactly k of
-    them and the generator columns there are linearly independent.  With
-    r = m they are every point, in the column order of
-    ``systematic_generator``.  Raises ValueError for m < 1 or r outside
-    0..m.
+    them and the generator columns there are linearly independent.  They
+    are a prefix of ``_weight_order(m)``.  Raises ValueError for m < 1
+    or r outside 0..m.
     """
     k = _dimension(m, r)
-    order = np.argsort(_point_weights(m), kind="stable")  # ties keep index order
-    return tuple(order[:k].tolist())
+    return tuple(_weight_order(m)[:k].tolist())
 
 
 class RmCode:
@@ -160,19 +167,19 @@ class RmCode:
 
 def _and_products(m: int, order, depth: int) -> list[int]:
     """x_a, the AND of the variable patterns of point a's variables, by
-    index, for the a of weight at most ``depth`` (0 for the others), in
-    the column order ``order`` (None: the natural order).
+    index, for the a of weight at most ``depth`` (0 for the others), on
+    the columns ``order``, column c the point order[c] (None: all, by index).
 
     Only the m variable patterns are gathered.  Then by doubling, the
     points in [2**b, 2**(b+1)) are those below 2**b with bit b added, so
     each product is one AND.
     """
-    n = 1 << m
-    patterns = _variable_patterns(m)
+    patterns, width = _variable_patterns(m), 1 << m
     if order is not None:
-        patterns = BinaryMatrix._trusted(patterns, n).column_submatrix(order).row_values
+        patterns = BinaryMatrix._trusted(patterns, width).column_submatrix(order).row_values
+        width = len(order)
     weights = _point_weights(m).tolist()
-    out = [(1 << n) - 1]
+    out = [(1 << width) - 1]
     for pattern in reversed(patterns):  # index bit b is x_(m - b)
         out += [x & pattern if w < depth else 0 for x, w in zip(out, weights)]
     return out
@@ -203,23 +210,27 @@ def _superset_sum_masks(r: int, classes: Sequence[int]) -> list[int]:
     ]
 
 
-def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, tuple[int, ...]]:
-    """The systematic generator [I | P] of RM(m, r) and its column order.
+def _reduced_rows(m: int, r: int, points, order=None) -> list[int]:
+    """R_a = x_a & mask(|a|) for each a in ``points``, all of weight <= r,
+    on the columns ``order`` (None: natural order); see the module
+    docstring and ``_superset_sum_masks``."""
+    weights = _point_weights(m) if order is None else _point_weights(m)[order]
+    classes = np.packbits(weights == np.arange(m + 1)[:, None], axis=1, bitorder="little")
+    masks = _superset_sum_masks(r, list(map(_int_of, classes)))  # by |a|
+    rows, points = _and_products(m, order, r), np.asarray(points).tolist()
+    for a in points:
+        if (w := a.bit_count()) < r:  # at weight r, R_a = x_a
+            rows[a] &= masks[w]
+    return [rows[a] for a in points]
 
-    Column c is the point ``order[c]``, with ``order`` the
-    ``information_points(m, m)``, and row i is R_a for the information
-    point a = order[i] (see the module docstring): the reduced
-    row-echelon form of the permuted generator, built without it.  In
-    that order each weight class is one run of columns.
-    """
-    k = _dimension(m, r)
-    order = information_points(m, m)
-    rows = _and_products(m, order, r)
-    ends = [0] + [_dimension(m, w) for w in range(m + 1)]  # weight classes' columns
-    masks = _superset_sum_masks(r, [(1 << hi) - (1 << lo) for lo, hi in zip(ends, ends[1:])])
-    for a in order[: k - math.comb(m, r)]:  # R_a = x_a at weight r
-        rows[a] &= masks[a.bit_count()]
-    return BinaryMatrix._trusted([rows[a] for a in order[:k]], 1 << m), order
+
+def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, np.ndarray]:
+    """The systematic generator [I | P] of RM(m, r) and its column order,
+    the read-only ``_weight_order(m)``: row i is R_a for a = order[i]
+    (``_reduced_rows``), the reduced row-echelon form of the permuted
+    generator, built without it."""
+    k, order = _dimension(m, r), _weight_order(m)  # m checked before 1 << m
+    return BinaryMatrix._trusted(_reduced_rows(m, r, order[:k], order), 1 << m), order
 
 
 def complement_basis(m: int, r: int) -> BinaryMatrix:

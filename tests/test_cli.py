@@ -523,6 +523,17 @@ class TestCosetTrial:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_invalid_m_names_the_cause(self, tmp_path, capsys):
+        code, _ = run(
+            tmp_path,
+            "coset-trial",
+            "--m", "0", "--r", "0", "--d", "0", "--part-exponent", "1",
+            "--channel", "bec", "--param", "0.1", "--trials", "1", "--seed", "1",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "m must be at least 1" in err and "part exponent" not in err
+
     def test_m_guard(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,

@@ -237,6 +237,16 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             build_plan(4, 1, RllSpec(1), 2, 4)  # inner order above inner length
 
+    def test_code_parameters_checked_before_part_exponent(self):
+        # m and r are validated by the code's own checks first, so an
+        # invalid code is not reported as a part exponent problem
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            build_plan(0, 0, RllSpec(0), 1)
+        with pytest.raises(ValueError, match="r must lie in 0..m"):
+            build_plan(3, 5, RllSpec(1), 9)
+        with pytest.raises(ValueError, match="part exponent too large"):
+            build_plan(4, 1, RllSpec(1), 6)
+
     def test_full_order_needs_an_inner_order(self):
         # r = m leaves no tail, so the selection rule has no rate to use
         with pytest.raises(ValueError, match="no tail.*inner order"):

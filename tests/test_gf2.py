@@ -126,6 +126,15 @@ class TestBinaryMatrix:
             with pytest.raises(ValueError, match="out of range"):
                 mat.column_submatrix(bad)
 
+    def test_column_submatrix_rejects_non_integer_entries(self):
+        # neither truncated (0.7 would read column 0) nor parsed ("0")
+        mat = BinaryMatrix([1, 2], 2)
+        for bad in ([0.7], ["0"], [0, 1.0], np.array([0.0, 1.0]), [None]):
+            with pytest.raises(ValueError, match="must be integers"):
+                mat.column_submatrix(bad)
+        given = np.array([1, 0], np.int32)  # integer arrays are still read as they are
+        assert mat.column_submatrix(given) == BinaryMatrix([2, 1], 2)
+
     def test_rref_matches_column_scan_on_rm_generators(self):
         # weight-permuted and information-set-restricted RM(m, r)
         # generators: every row brings its own lowest-bit pivot
@@ -142,6 +151,12 @@ class TestBinaryMatrix:
                     want, want_pivots = column_scan_rref(mat.row_values, mat.ncols)
                     assert pivots == want_pivots and len(pivots) == gen.nrows
                     assert reduced.row_values == want
+
+    def test_from_strings_rejects_unequal_rows(self):
+        for rows in (["01", "1"], ["1", "01"], ["101", "10", "101"]):
+            with pytest.raises(ValueError, match="equal length"):
+                BinaryMatrix.from_strings(rows)
+        assert BinaryMatrix.from_strings(["01", "10"]) == BinaryMatrix([2, 1], 2)
 
     def test_column_submatrix_order(self):
         mat = BinaryMatrix.from_strings(["1010", "0110"])

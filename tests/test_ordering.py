@@ -61,6 +61,12 @@ class TestOrderings:
         with pytest.raises(ValueError, match="one bit"):
             Ordering(3, (0, 1, 3, 2, 6, 4, 7, 5), "gray")  # 4 -> 7 flips two bits
 
+    def test_non_integer_entries_rejected(self):
+        # once truncated (0.5 -> 0, 1.5 -> 1) or parsed ("0" -> 0)
+        for perm in ([0.5, 1.5], ["0", "1"], (0, 1.0), np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="must be integers"):
+                Ordering(1, perm, "explicit")
+
     def test_array_perm_is_stored_as_a_tuple(self):
         given = np.array([0, 2, 3, 1])
         o = Ordering(2, given, "explicit")
@@ -132,6 +138,13 @@ class TestRunProfile:
         for arr in (np.array([0, -1]), np.array([0, 8]), np.array([8], np.uint64)):
             with pytest.raises(ValueError, match="outside"):
                 run_profile(arr, lexicographic_ordering(3), RllSpec(1))
+
+    def test_non_integer_members_rejected(self):
+        # [0.5, 3.9] once counted the set {0, 3}
+        o = lexicographic_ordering(2)
+        for bad in ([0.5, 3.9], ["0", "3"], {0, 2.0}):
+            with pytest.raises(ValueError, match="must be integers"):
+                run_profile(bad, o, RllSpec(1))
 
     def test_array_slice_matches_tuple_and_scan(self):
         # verify-lemmas passes slices of one weight-order array

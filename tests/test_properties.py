@@ -9,11 +9,11 @@ matrices and on wide ones of up to 40 x 200, and the word-parallel gap
 check against the direct definition on words of up to 4096 bits.  The
 systematic outer generator of a coset plan is checked, un-permuted,
 against the dual code built pointwise, without row reduction.  The
-closed-form rows behind both systematic forms are checked against the
-superset-sum (zeta) transform of the monomials on random weight-<=r and
-anchored families, and that transform against its defining sum on
-random families of points closed under dropping a bit.  The
-numpy word kernels (``vecmat``, ``support``) and the row- and
+closed-form rows behind both systematic forms (``_reduced_rows``) are
+checked against the superset-sum (zeta) transform of the monomials on
+random weight-<=r and anchored families, and that transform against its
+defining sum on random families of points closed under dropping a bit.
+The numpy word kernels (``vecmat``, ``support``) and the row- and
 column-masked solve are checked against plain bit lists and the numpy
 rank oracle, and the one-scan ``bounded_run_counts`` against
 ``run_profile`` on sampled orderings.  The command line's table parse
@@ -44,6 +44,7 @@ from rmrll.rll import (
 )
 from rmrll.rm import (
     RmCode,
+    _reduced_rows,
     _superset_sum_masks,
     complement_basis,
     eval_monomial,
@@ -212,8 +213,13 @@ class TestClosedFormRows:
         classes = [sum(1 << b for b in range(n) if b.bit_count() == w) for w in range(m + 1)]
         masks = _superset_sum_masks(r, classes)
         assert {a: x & masks[a.bit_count()] for a, x in rows.items()} == want
+        # the one builder of both forms, on natural and weight-order columns
+        points, order = sorted(rows), weight_order(m)
+        assert _reduced_rows(m, r, points) == [want[a] for a in points]
+        assert _reduced_rows(m, r, points, order) == list(
+            per_bit_gather([want[a] for a in points], order)
+        )
         if not anchor:
-            order = weight_order(m)
             gen, _ = systematic_generator(m, r)
             assert gen.row_values == per_bit_gather([want[a] for a in order[: len(want)]], order)
 

@@ -208,6 +208,23 @@ class TestInformationSet:
                             want = [0] * n
                         assert [row >> c & 1 for c in range(n)] == want
 
+    def test_monomials_on_a_column_subset_match_eval_monomial(self):
+        # fewer columns than points: each row is as wide as the order and
+        # holds x_a at the points order[c]
+        rng = np.random.default_rng(25)
+        for m in range(1, 7):
+            n = 1 << m
+            for size in (0, 1, n // 2, n - 1):
+                order = rng.permutation(n)[:size]
+                for depth in range(m + 1):
+                    rows = _and_products(m, order, depth)
+                    for a, row in enumerate(rows):
+                        if a.bit_count() > depth:
+                            assert row == 0
+                            continue
+                        full = eval_monomial(m, [m - b for b in range(m) if a >> b & 1]).value
+                        assert row == sum((full >> p & 1) << c for c, p in enumerate(order.tolist()))
+
     def test_down_set_columns_match_pointwise_oracle(self):
         # column b, bit p: x_a(b) for a = order[p], in the weight order and
         # in a shuffled one
