@@ -48,8 +48,8 @@ from .rm import (
     _dimension,
     _down_set_columns,
     _point_weights,
+    _weight_order,
     complement_basis,
-    information_points,
 )
 from .subcodes import SEARCH_MAX_N, build_subcode, is_rll_code, largest_linear_rll_subcode
 
@@ -238,7 +238,7 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     outside 1..12.
 
     Each m's work is done once for every r.  With rows and columns in
-    the order of ``information_points(m, m)``, the first k of all 2**m
+    the weight order ``_weight_order(m)``, the first k of all 2**m
     monomials x_a are RM(m, r)'s generator and the first k columns its
     information set, so one certificate checks every rank: each column's
     highest 1 (``bit_length`` of ``_down_set_columns``) is on the
@@ -254,7 +254,7 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
         n = 1 << m
         if m <= m_max:
             weights = _point_weights(m)
-            order = np.fromiter(information_points(m, m), np.intp)
+            order = _weight_order(m)
             heights = np.fromiter(map(int.bit_length, _down_set_columns(m, order)), np.intp, n)
             ok = np.array_equal(heights[order], np.arange(1, n + 1)) and np.array_equal(
                 weights[order], np.sort(weights)

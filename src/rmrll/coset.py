@@ -36,8 +36,8 @@ from .rll import (
 )
 from .rm import (
     RmCode,
-    _and_products,
     _dimension,
+    _point_weights,
     _reduced_rows,
     select_order,
     systematic_generator,
@@ -142,16 +142,16 @@ class CosetPlan:
 
     @cached_property
     def inner_maps(self) -> InnerMaps:
-        """Pivots (the rows' points T, ascending) and byte tables of the inner
-        code, built on first use; G_P^-1 is [p <= T], x_p at the points T."""
-        gen, m, r, points = self.inner.gen, self.inner.parent.m, self.inner_order, self.inner.points
-        pivots = sorted(points)
-        inclusion = _and_products(m, points, r)  # bit i of row p: [p <= points[i]]
+        """Pivots (the rows' points, ascending) and byte tables of the inner
+        code, from its rows x_p on first use: R_p is x_p masked, G_P^-1 is x_p at the points."""
+        gen, points, m = self.inner.gen, self.inner.points, self.inner.parent.m
+        inclusion = gen.column_submatrix(points).row_values  # bit i of row p: [p <= points[i]]
+        pivots, rows, inclusion = zip(*sorted(zip(points, gen.row_values, inclusion)))  # by p
         return InnerMaps(
             pivots=np.array(pivots, dtype=np.intp),
-            rref=BinaryMatrix._trusted(_reduced_rows(m, r, pivots), gen.ncols),
+            rref=_reduced_rows(self.inner_order, list(rows), pivots, _point_weights(m)),
             to_codeword=_byte_tables(gen.row_values),
-            to_message=_byte_tables([inclusion[p] for p in pivots]),
+            to_message=_byte_tables(inclusion),
         )
 
     @cached_property
@@ -299,7 +299,7 @@ def decode(
 ) -> DecodeResult:
     """Two-stage decode of the prefix/parts observations.
 
-    One packed int holds the observation's 1s and (on an erasure
+    One packed int holds the observation's 1s, its 0s and (on an erasure
     channel) its unerased positions and every part's pivot 1s and
     erasures, end to end; each part is taken from it by shift and mask.
     Only the part step depends on the channel.  On an erasure channel,
@@ -326,6 +326,10 @@ def decode(
     row i alone has a 1 in pivot column i, so the full rank is the known
     pivot count plus that of the unknown rows on the seen columns, and
     the two are consistent, and unique, together.
+
+    A symbol outside the channel's alphabet, {0, 1} on a flip channel
+    and {0, 1, ERASED} on an erasure channel, raises ValueError: the 0s
+    and 1s must cover every position, or every unerased one.
     """
     prefix_obs = np.asarray(prefix_obs)
     parts_obs = np.asarray(parts_obs)
@@ -341,20 +345,23 @@ def decode(
 
     k, dim, npart = plan.k, plan.inner.k, plan.part_length
     obs = np.concatenate((prefix_obs, parts_obs))
-    n = obs.size
-    fields = [obs == 1]
+    n, full = obs.size, (1 << obs.size) - 1
+    fields = [obs == 1, obs == 0]
     if erasure:
         # every part's pivot bits, dim apart, in one gather
         maps = plan.inner_maps
         pivot_obs = parts_obs.reshape(plan.part_count, npart)[:, maps.pivots].ravel()
         fields += [obs != ERASED, pivot_obs == 1, pivot_obs == ERASED]
     packed = _pack_bits(np.concatenate(fields))
-    ones = packed & ((1 << n) - 1)
+    ones, binary = packed & full, (packed | packed >> n) & full
     unerased = 0  # a flip channel knows no bit exactly
     if erasure:
-        unerased = (packed >> n) & ((1 << n) - 1)
-        pivot_ones = (packed >> 2 * n) & ((1 << pivot_obs.size) - 1)
-        pivot_erased = packed >> (2 * n + pivot_obs.size)
+        unerased = (packed >> 2 * n) & full
+        pivot_ones = (packed >> 3 * n) & ((1 << pivot_obs.size) - 1)
+        pivot_erased = packed >> (3 * n + pivot_obs.size)
+    if (unerased if erasure else full) & ~binary:
+        symbols = (0, 1, ERASED) if erasure else (0, 1)
+        raise ValueError(f"observation symbols on {type(channel).__name__} must be in {symbols}")
     part_mask = (1 << npart) - 1
     dim_mask = (1 << dim) - 1
     tail_val = 0

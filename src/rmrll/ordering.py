@@ -41,9 +41,10 @@ __all__ = [
 class Ordering:
     """Permutation of the coordinates [0, 2**m); position j holds perm[j].
 
-    ``perm`` may be given as an integer index array; it is stored as a
-    tuple.  ``positions`` is ``perm`` as a read-only index array, the
-    one validated in numpy at construction.
+    ``perm`` may be given as any sequence of integers or an integer
+    index array; it is stored as a tuple of Python ints.  ``positions``
+    is ``perm`` as a read-only index array, the one validated in numpy
+    at construction.
     """
 
     m: int
@@ -70,8 +71,7 @@ class Ordering:
                 raise ValueError("gray ordering must step one bit at a time")
         positions.flags.writeable = False
         object.__setattr__(self, "positions", positions)
-        if not isinstance(self.perm, tuple):
-            object.__setattr__(self, "perm", tuple(positions.tolist()))
+        object.__setattr__(self, "perm", tuple(positions.tolist()))
 
 
 def lexicographic_ordering(m: int) -> Ordering:

@@ -10,6 +10,7 @@ constrained words in lexicographic order (coordinate 0 leftmost, 0 < 1).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -142,7 +143,12 @@ def noiseless_capacity(spec: RllSpec) -> float:
 
 
 def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:
-    """The constrained word of length n with lexicographic rank ``index``."""
+    """The constrained word of length n with lexicographic rank ``index``,
+    an integer (``operator.index``: a float raises ValueError)."""
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise ValueError("index must be an integer") from None
     total = count_constrained(n, spec)
     if not 0 <= index < total:
         raise ValueError(f"index must be in [0, {total})")

@@ -22,14 +22,14 @@ s = |b| - |a| other bits of b, so R_a(b) = C(s, 0) + ... + C(s, r - |a|)
 mod 2.  For b in F, s <= r - |a| and the sum is 2**s, odd exactly when
 b = a: the inclusion matrix [a <= b] on F is its own inverse over GF(2).
 The sum depends only on |a| and |b|, so R_a = x_a & mask(|a|), which
-``_reduced_rows`` alone builds for both forms.  With A = 0, the R_a by
-the weight order are [I | P] of RM(m, r) on that column order
-(``systematic_generator``).  For an inner subcode's anchored family, as
-each x_T is 0 below T, the R_a by ascending a are its generator's
-reduced row-echelon form, pivots at F, and the inclusion matrix (x_p at
-the row points) maps the pivot values back to the message
-(``coset.CosetPlan.inner_maps``).  Both forms are unique, so they equal
-elimination's result bit for bit.
+``_reduced_rows`` alone applies to evaluated rows for both forms.  With
+A = 0, the R_a by the weight order are [I | P] of RM(m, r) on that
+column order (``systematic_generator``).  For an inner subcode's
+anchored family, as each x_T is 0 below T, its own rows x_a masked, by
+ascending a, are its reduced row-echelon form, pivots at F, and those
+rows at the row points (the inclusion matrix) map the pivot values back
+to the message (``coset.CosetPlan.inner_maps``, which evaluates none).
+Both forms are unique, so they equal elimination's result bit for bit.
 
 In the weight order the monomials x_T, listed by T in that order, put
 RM(m, r)'s generator in the first k rows and its information set in the
@@ -210,18 +210,16 @@ def _superset_sum_masks(r: int, classes: Sequence[int]) -> list[int]:
     ]
 
 
-def _reduced_rows(m: int, r: int, points, order=None) -> list[int]:
-    """R_a = x_a & mask(|a|) for each a in ``points``, all of weight <= r,
-    on the columns ``order`` (None: natural order); see the module
-    docstring and ``_superset_sum_masks``."""
-    weights = _point_weights(m) if order is None else _point_weights(m)[order]
-    classes = np.packbits(weights == np.arange(m + 1)[:, None], axis=1, bitorder="little")
+def _reduced_rows(r: int, rows: list[int], points, weights: np.ndarray) -> BinaryMatrix:
+    """R_a = x_a & mask(|a|), masked in ``rows`` in place (so each x_a is
+    freed), a the matching entry of ``points``, all of weight <= r, on the
+    columns whose points weigh ``weights``; see ``_superset_sum_masks``."""
+    classes = np.packbits(weights == np.arange(weights.max() + 1)[:, None], 1, bitorder="little")
     masks = _superset_sum_masks(r, list(map(_int_of, classes)))  # by |a|
-    rows, points = _and_products(m, order, r), np.asarray(points).tolist()
-    for a in points:
+    for i, a in enumerate(points):
         if (w := a.bit_count()) < r:  # at weight r, R_a = x_a
-            rows[a] &= masks[w]
-    return [rows[a] for a in points]
+            rows[i] &= masks[w]
+    return BinaryMatrix._trusted(rows, weights.size)
 
 
 def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, np.ndarray]:
@@ -230,7 +228,9 @@ def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, np.ndarray]:
     (``_reduced_rows``), the reduced row-echelon form of the permuted
     generator, built without it."""
     k, order = _dimension(m, r), _weight_order(m)  # m checked before 1 << m
-    return BinaryMatrix._trusted(_reduced_rows(m, r, order[:k], order), 1 << m), order
+    points = order[:k].tolist()
+    rows = list(map(_and_products(m, order, r).__getitem__, points))  # the x_a's only holder
+    return _reduced_rows(r, rows, points, _point_weights(m)[order]), order
 
 
 def complement_basis(m: int, r: int) -> BinaryMatrix:

@@ -6,6 +6,7 @@ import sys
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rmrll import cli
@@ -319,9 +320,9 @@ class TestVerifyLemmas:
     def test_points_out_of_weight_order_fail(self, tmp_path, monkeypatch):
         # (0, 2, 3, 1) is not in weight order at m=2; with the triangular
         # certificate forced to pass, only the weight check can see it
-        honest = cli.information_points
+        honest = cli._weight_order
         monkeypatch.setattr(
-            cli, "information_points", lambda m, r: (0, 2, 3, 1) if m == 2 else honest(m, r)
+            cli, "_weight_order", lambda m: np.array((0, 2, 3, 1)) if m == 2 else honest(m)
         )
 
         def triangular(m, order):  # column b's highest 1 at b's position
@@ -400,13 +401,13 @@ class TestVerifyLemmas:
 
     def test_each_m_work_done_once(self, monkeypatch):
         calls = {}
-        honest_points = cli.information_points
+        honest_order = cli._weight_order
         honest_columns = cli._down_set_columns
         honest_complement = cli.complement_basis
 
-        def points(m, r):
-            calls["information_points"].append(m)
-            return honest_points(m, r)
+        def weight_order(m):
+            calls["weight_order"].append(m)
+            return honest_order(m)
 
         def columns(m, order):
             calls["certificates"] += 1
@@ -419,15 +420,15 @@ class TestVerifyLemmas:
         def no_run_profile(*args):
             raise AssertionError("run_profile called")
 
-        monkeypatch.setattr(cli, "information_points", points)
+        monkeypatch.setattr(cli, "_weight_order", weight_order)
         monkeypatch.setattr(cli, "_down_set_columns", columns)
         monkeypatch.setattr(cli, "complement_basis", complement)
         monkeypatch.setattr(cli, "run_profile", no_run_profile)
         for m_max in (5, 10):
-            calls.update(information_points=[], certificates=0, complement_basis=[])
+            calls.update(weight_order=[], certificates=0, complement_basis=[])
             lines, ok = lemma_checks(m_max)
             assert ok
-            assert sorted(calls["information_points"]) == list(range(1, m_max + 1))
+            assert sorted(calls["weight_order"]) == list(range(1, m_max + 1))
             assert calls["certificates"] == m_max
             assert sorted(calls["complement_basis"]) == list(range(1, min(m_max, 8) + 1))
 

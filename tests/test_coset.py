@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from rmrll import rm
 from rmrll.channels import BEC, BSC, ERASED, estimate_block_error
 from rmrll.coset import (
     BSC_MAX_COSET_DIM,
@@ -208,14 +209,32 @@ class TestBuildPlan:
         assert codes == 136
 
     def test_inner_maps_need_no_elimination(self, monkeypatch):
+        # nor a monomial evaluation: they read the inner code's own rows
         def eliminate(*args, **kwargs):
-            raise AssertionError("inner maps eliminated")
+            raise AssertionError("inner maps eliminated or evaluated")
 
         plan = build_plan(6, 3, RllSpec(3), 2, 5)  # inner dimension 15
         monkeypatch.setattr(BinaryMatrix, "rref", eliminate)
         monkeypatch.setattr(BinaryMatrix, "solve_right", eliminate)
+        monkeypatch.setattr(rm, "_and_products", eliminate)
         assert plan.inner_maps.pivots.size == plan.inner.k
         assert len(plan.inner_codebook) == 1 << plan.inner.k
+
+    def test_each_generator_evaluated_once(self, monkeypatch):
+        # one evaluation each for the inner code and the outer [I | P],
+        # at the README plan and the m=10 erasure benchmark plan
+        honest, calls = rm._and_products, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return honest(*args)
+
+        monkeypatch.setattr(rm, "_and_products", counted)
+        for args in ((6, 2, RllSpec(1), 3, 2), (10, 5, RllSpec(1), 4)):
+            calls.clear()
+            plan = build_plan(*args)
+            assert plan.inner_maps.pivots.size == plan.inner.k
+            assert sorted(calls) == sorted((plan.inner.parent.m, plan.m))
 
     def test_tail_rank_is_min_of_prefix_and_tail_length(self):
         # rank(P) = min(k, n - k) for every RM(m, r)
@@ -335,6 +354,11 @@ class TestEncode:
             encode(1 << plan.payload_bits, plan)
         with pytest.raises(ValueError):
             encode(-1, plan)
+        # a float is not truncated to the index below it; numpy ints pass
+        for message in (3.5, 3.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                encode(message, plan)
+        assert encode(np.int64(3), plan) == encode(3, plan)
 
 
 class TestDecodeBec:
@@ -540,6 +564,21 @@ class TestDecodeBec:
         obs = observe(tx.transmitted)
         with pytest.raises(TypeError):
             decode(obs[: plan.k], obs[plan.k :], plan, "awgn")
+
+    def test_symbols_outside_the_alphabet_rejected(self):
+        # in the prefix and in the parts; ERASED only on the erasure channel
+        plan = build_plan(6, 2, RllSpec(1), 3, 2)
+        obs = observe(encode(12345, plan).transmitted)
+        sevens = np.where(obs == 0, 7, obs)
+        half = obs.astype(float)
+        half[plan.k + 1] = 0.5
+        erased = observe(encode(12345, plan).transmitted, erasures=[3])
+        cases = ((BEC(0.0), sevens), (BEC(0.0), half), (BSC(0.01), sevens), (BSC(0.01), erased))
+        for channel, bad in cases:
+            with pytest.raises(ValueError, match="observation symbols"):
+                decode(bad[: plan.k], bad[plan.k :], plan, channel)
+        assert decode(erased[: plan.k], erased[plan.k :], plan, BEC(0.0)).message == 12345
+        assert decode(obs[: plan.k], obs[plan.k :], plan, BSC(0.01)).message == 12345
 
 
 @st.composite

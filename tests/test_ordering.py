@@ -75,6 +75,14 @@ class TestOrderings:
         assert o == Ordering(2, (0, 2, 3, 1), "explicit")
         given[0] = 1  # the ordering keeps its own copy
         assert o.positions.tolist() == [0, 2, 3, 1]
+        # tuples too are stored as Python ints, whatever their entry types
+        for given, want in (
+            ((True, False), (1, 0)),
+            (tuple(np.array([0, 2, 3, 1])), (0, 2, 3, 1)),
+            ((np.uint8(3), 2, np.int32(1), 0), (3, 2, 1, 0)),
+        ):
+            o = Ordering(len(want).bit_length() - 1, given, "explicit")
+            assert o.perm == want and all(type(c) is int for c in o.perm)
         for m in range(1, 9):
             j = range(1 << m)
             assert lexicographic_ordering(m).perm == tuple(j)

@@ -215,9 +215,12 @@ class TestClosedFormRows:
         assert {a: x & masks[a.bit_count()] for a, x in rows.items()} == want
         # the one builder of both forms, on natural and weight-order columns
         points, order = sorted(rows), weight_order(m)
-        assert _reduced_rows(m, r, points) == [want[a] for a in points]
-        assert _reduced_rows(m, r, points, order) == list(
-            per_bit_gather([want[a] for a in points], order)
+        weights = np.array([b.bit_count() for b in range(n)])
+        x_rows, reduced = [rows[a] for a in points], tuple(want[a] for a in points)
+        on_order = list(per_bit_gather(x_rows, order))
+        assert _reduced_rows(r, x_rows, points, weights).row_values == reduced
+        assert _reduced_rows(r, on_order, points, weights[order]).row_values == per_bit_gather(
+            reduced, order
         )
         if not anchor:
             gen, _ = systematic_generator(m, r)

@@ -199,6 +199,14 @@ class TestEnumerative:
         with pytest.raises(ValueError):
             enumerative_encode(-1, 4, RllSpec(1))
 
+    def test_rejects_non_integer_index(self):
+        # a float is not truncated to the index below it; numpy ints pass
+        for index in (3.5, 3.0, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                enumerative_encode(index, 4, RllSpec(1))
+        for index in (np.int64(7), np.uint8(7)):
+            assert enumerative_encode(index, 4, RllSpec(1)).to01() == "1010"
+
     def test_rejects_unconstrained_word(self):
         with pytest.raises(ValueError):
             enumerative_decode(BitWord.from_string("110"), RllSpec(1))

@@ -71,6 +71,18 @@ class TestConstruction:
             for pos in BitWord(row, sub.gen.ncols).support():
                 assert pos % (1 << z) == (1 << z) - 1
 
+    def test_anchored_columns_hold_the_smaller_code(self):
+        # read at the positions 2**z * j + 2**z - 1, the anchored subcode of
+        # RM(m, r) is RM(m - z, r - z), row for row
+        for d in range(4):
+            z = RllSpec(d).anchor_count
+            for m in range(z + 1, 9):
+                anchored = range((1 << z) - 1, 1 << m, 1 << z)
+                for r in range(z, m + 1):
+                    sub = build_subcode(RmCode(m, r), RllSpec(d))
+                    want = RmCode(m - z, r - z).gen
+                    assert sub.gen.column_submatrix(anchored) == want
+
     def test_points_are_the_parents_anchored_points(self):
         # in parent order, each with its parent row
         for m in range(1, 11):
