@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -78,6 +78,7 @@ class Opt:
     default: object = None
     required: bool = False
     choices: tuple = ()
+    bounds: tuple = ()  # (low, high), high None for no upper bound
     help: str = ""
 
 
@@ -138,6 +139,12 @@ def _resolve(args: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
             raise UsageError(f"missing required option {_flag(o.name)}")
         if o.choices and v is not None and v not in o.choices:
             raise UsageError(f"'{o.name}' must be one of {', '.join(o.choices)}")
+        if o.bounds and v is not None:
+            low, high = o.bounds
+            if not low <= v:  # NaN fails here
+                raise UsageError(f"{o.name} must be at least {low}")
+            if high is not None and not v <= high:
+                raise UsageError(f"{o.name} must be at most {high}")
         resolved[o.name] = v
     return resolved
 
@@ -172,10 +179,6 @@ MAX_GRID_ROWS = 10**6
 
 
 def cmd_rate_curves(p: dict) -> tuple[Iterator[str], int]:
-    if p["d"] < 0:
-        raise UsageError("d must be nonnegative")
-    if p["part_exponent"] < 1:
-        raise UsageError("part exponent must be at least 1")
     # the row count is compared as a float: 1 / grid is inf for a subnormal grid
     if not 0.0 < p["grid"] <= 0.1 or 1.0 / p["grid"] + 1e-9 >= MAX_GRID_ROWS + 1:
         raise UsageError(
@@ -199,11 +202,6 @@ def cmd_rate_curves(p: dict) -> tuple[Iterator[str], int]:
 
 
 LEMMA_M = 12  # the run checks cover every m up to it, whatever m_max
-
-
-def _check_m_max(m_max: int) -> None:
-    if not 1 <= m_max <= LEMMA_M:
-        raise ValueError(f"m-max must lie in 1..{LEMMA_M}")
 
 
 def _complement_ranks(m: int) -> tuple[tuple[int, ...], bool]:
@@ -247,7 +245,8 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     complement rank (``_complement_ranks``), and one scan of the point
     weights per ordering every bounded-run count (``bounded_run_counts``).
     """
-    _check_m_max(m_max)
+    if not 1 <= m_max <= LEMMA_M:
+        raise ValueError(f"m-max must lie in 1..{LEMMA_M}")
     rank_lines, span_lines, run_lines = [], [], []
     all_ok = True
     for m in range(1, LEMMA_M + 1):
@@ -284,20 +283,14 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
 
 
 def cmd_verify_lemmas(p: dict) -> tuple[list[str], int]:
-    try:
-        _check_m_max(p["m_max"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     lines, ok = lemma_checks(p["m_max"])
     return lines, EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_subcode_oracle(p: dict) -> tuple[list[str], int]:
     m, r, d = p["m"], p["r"], p["d"]
-    if m < 1 or not 0 <= r <= m or d < 0:
-        raise UsageError("need m >= 1, 0 <= r <= m, d >= 0")
-    if m > MAX_M:
-        raise UsageError(f"m must be at most {MAX_M}")
+    if r > m:
+        raise UsageError("r must be at most m")
     spec = RllSpec(d)
     if m < spec.anchor_count:
         raise UsageError(f"need m >= {spec.anchor_count} for d={d}")
@@ -322,27 +315,14 @@ def cmd_subcode_oracle(p: dict) -> tuple[list[str], int]:
 
 
 def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
-    if p["d"] < 0:
-        raise UsageError("d must be nonnegative")
     spec = RllSpec(p["d"])
-    if p["m"] > MAX_M:
-        raise UsageError(f"m must be at most {MAX_M}")
     inner_m = p["m"] - p["part_exponent"] + spec.anchor_count
     if inner_m > MAX_M:
         raise UsageError(
             f"inner code exponent m - part_exponent + d.bit_length() = {inner_m}"
             f" must be at most {MAX_M}"
         )
-    # the scalar checks come before build_plan, the costly step at large
-    # m; only the BSC limits need the plan
-    try:
-        channel = BEC(p["param"]) if p["channel"] == "bec" else BSC(p["param"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if p["trials"] < 1:
-        raise UsageError("trials must be positive")
-    if p["seed"] < 0:
-        raise UsageError("seed must be nonnegative")
+    channel = BEC(p["param"]) if p["channel"] == "bec" else BSC(p["param"])
     try:
         plan = build_plan(p["m"], p["r"], spec, p["part_exponent"], p["inner_order"])
     except ValueError as exc:
@@ -377,10 +357,6 @@ def cmd_coset_trial(p: dict) -> tuple[list[str], int]:
 
 
 def cmd_crossover(p: dict) -> tuple[list[str], int]:
-    if p["d"] < 0:
-        raise UsageError("d must be nonnegative")
-    if p["part_exponent"] < 1:
-        raise UsageError("part exponent must be at least 1")
     spec = RllSpec(p["d"])
     cstar = crossover_capacity(spec, p["part_exponent"])
     if cstar is None:
@@ -395,14 +371,8 @@ def cmd_crossover(p: dict) -> tuple[list[str], int]:
 
 def cmd_perm_sweep(p: dict) -> tuple[list[str], int]:
     m, r, d = p["m"], p["r"], p["d"]
-    if not 1 <= m <= MAX_M:
-        raise UsageError(f"m must lie in 1..{MAX_M} (run profiles scan 2**m positions)")
-    if not 0 <= r <= m or d < 0:
-        raise UsageError("need 0 <= r <= m and d >= 0")
-    if p["samples"] < 1:
-        raise UsageError("samples must be positive")
-    if p["seed"] < 0:
-        raise UsageError("seed must be nonnegative")
+    if r > m:
+        raise UsageError("r must be at most m")
     spec = RllSpec(d)
     exp = permutation_bound_experiment(RmCode(m, r), spec, p["samples"], p["seed"])
     lines = ["m,r,d,kind,seed,k,runs,bounded_runs,tuples,bound"]
@@ -419,15 +389,18 @@ def cmd_perm_sweep(p: dict) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
+# options of several commands, each range stated once
+_D = Opt("d", int, required=True, bounds=(0, None), help="minimum zeros between 1s")
+_M = Opt("m", int, required=True, bounds=(1, MAX_M), help="code exponent")
+_R = Opt("r", int, required=True, bounds=(0, None), help="code order")
+_PART = Opt("part_exponent", int, default=50, bounds=(1, None), help="tail part-size exponent")
+_SEED = Opt("seed", int, required=True, bounds=(0, None), help="master seed")
+
 COMMANDS: dict[str, Command] = {
     "rate-curves": Command(
         cmd_rate_curves,
         "tabulate achievable-rate bounds against channel capacity",
-        (
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("part_exponent", int, default=50, help="tail part-size exponent"),
-            Opt("grid", float, default=0.01, help="capacity step in (0, 0.1]"),
-        ),
+        (_D, _PART, Opt("grid", float, default=0.01, help="capacity step in (0, 0.1]")),
     ),
     "verify-lemmas": Command(
         cmd_verify_lemmas,
@@ -437,55 +410,61 @@ COMMANDS: dict[str, Command] = {
                 "m_max",
                 int,
                 required=True,
-                help="largest code exponent for the rank checks (at most 12); "
-                "span checks cap at m=8 and run-count checks always cover m<=12",
+                bounds=(1, LEMMA_M),
+                help="largest code exponent for the rank checks; span checks cap"
+                " at m=8 and run-count checks always cover m<=12",
             ),
         ),
     ),
     "subcode-oracle": Command(
         cmd_subcode_oracle,
         "compare the subcode construction against the exact optimum",
-        (
-            Opt("m", int, required=True, help=f"code exponent (at most {MAX_M})"),
-            Opt("r", int, required=True, help="code order"),
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-        ),
+        (_M, _R, _D),
     ),
     "coset-trial": Command(
         cmd_coset_trial,
         "Monte-Carlo block-error trial of the coset transmission scheme",
         (
-            Opt("m", int, required=True, help=f"outer code exponent (at most {MAX_M})"),
-            Opt("r", int, required=True, help="outer code order"),
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("part_exponent", int, required=True, help="tail part-size exponent"),
+            replace(_M, help="outer code exponent"),
+            replace(_R, help="outer code order"),
+            _D,
+            replace(_PART, default=None, required=True),
             Opt("inner_order", int, help="inner code order (default: selection rule)"),
             Opt("channel", str, required=True, choices=("bec", "bsc"), help="channel kind"),
-            Opt("param", float, required=True, help="erasure or flip probability"),
-            Opt("trials", int, required=True, help="number of Monte-Carlo trials"),
-            Opt("seed", int, required=True, help="master seed"),
+            Opt("param", float, required=True, bounds=(0, 1), help="erasure or flip probability"),
+            Opt(
+                "trials", int, required=True, bounds=(1, None), help="number of Monte-Carlo trials"
+            ),
+            _SEED,
         ),
     ),
     "crossover": Command(
         cmd_crossover,
         "capacity at which the coset bound overtakes the subcode bound",
-        (
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("part_exponent", int, default=50, help="tail part-size exponent"),
-        ),
+        (_D, _PART),
     ),
     "perm-sweep": Command(
         cmd_perm_sweep,
         "dimension-bound statistics over random coordinate orderings",
         (
-            Opt("m", int, required=True, help=f"code exponent (at most {MAX_M})"),
-            Opt("r", int, required=True, help="code order"),
-            Opt("d", int, required=True, help="minimum zeros between 1s"),
-            Opt("samples", int, required=True, help="number of sampled orderings"),
-            Opt("seed", int, required=True, help="master seed"),
+            _M,
+            _R,
+            _D,
+            Opt(
+                "samples", int, required=True, bounds=(1, None), help="number of sampled orderings"
+            ),
+            _SEED,
         ),
     ),
 }
+
+
+def _range(o: Opt) -> str:
+    """The range of ``o`` as its help line shows it."""
+    if not o.bounds:
+        return ""
+    low, high = o.bounds
+    return f" (at least {low})" if high is None else f" (in [{low}, {high}])"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -505,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for o in cmd.opts:
             cp.add_argument(
-                _flag(o.name), dest=o.name, type=o.typ, default=None, help=o.help
+                _flag(o.name), dest=o.name, type=o.typ, default=None, help=o.help + _range(o)
             )
     return parser
 

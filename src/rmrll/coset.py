@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import BEC, BSC, ERASED, binary_entropy
-from .gf2 import BitWord, BinaryMatrix, _byte_tables, _pack_bits, _table_mul
+from .gf2 import BitWord, BinaryMatrix, _byte_tables, _integer, _pack_bits, _table_mul
 from .ordering import Ordering
 from .rll import (
     RllSpec,
@@ -173,6 +173,10 @@ def build_plan(
     When no inner order is given, the order-selection rule is applied to
     the inner length with the outer code rate.
     """
+    m, r = _integer(m, "m"), _integer(r, "r")
+    part_exponent = _integer(part_exponent, "part exponent")
+    if inner_order is not None:
+        inner_order = _integer(inner_order, "inner order")
     k, length = _dimension(m, r), 1 << m
     z = spec.anchor_count
     if part_exponent < 1:

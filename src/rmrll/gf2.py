@@ -144,6 +144,16 @@ def _set_bits(value: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little").nonzero()[0]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, read through ``operator.index``: a
+    float or a string raises ValueError instead of being truncated or
+    parsed, and a numpy integer becomes an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 def _index_array(items: Iterable[int], n: int, message: str) -> np.ndarray:
     """``items`` as an index array, each entry checked to lie in [0, n).
 
@@ -251,7 +261,7 @@ class BinaryMatrix:
             raise ValueError("ncols must be nonnegative")
         packed = []
         for r in rows:
-            v = r.value if isinstance(r, BitWord) else int(r)
+            v = r.value if isinstance(r, BitWord) else _integer(r, "row")
             if v < 0 or v >> ncols:
                 raise ValueError("row does not fit in the column count")
             packed.append(v)

@@ -10,11 +10,10 @@ constrained words in lexicographic order (coordinate 0 leftmost, 0 < 1).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
-from .gf2 import BitWord
+from .gf2 import BitWord, _integer
 
 __all__ = [
     "RllSpec",
@@ -30,11 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RllSpec:
-    """Gap constraint: at least ``d`` zeros between successive 1s."""
+    """Gap constraint: at least ``d`` zeros between successive 1s; ``d``
+    is read through ``operator.index``, so a float raises ValueError."""
 
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.d < 0:
             raise ValueError("d must be nonnegative")
 
@@ -145,10 +146,7 @@ def noiseless_capacity(spec: RllSpec) -> float:
 def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:
     """The constrained word of length n with lexicographic rank ``index``,
     an integer (``operator.index``: a float raises ValueError)."""
-    try:
-        index = operator.index(index)
-    except TypeError:
-        raise ValueError("index must be an integer") from None
+    index = _integer(index, "index")
     total = count_constrained(n, spec)
     if not 0 <= index < total:
         raise ValueError(f"index must be in [0, {total})")
@@ -185,13 +183,16 @@ def enumerative_decode(word: BitWord, spec: RllSpec) -> int:
 def payload_bits(n: int, spec: RllSpec) -> int:
     """floor(log2) of the constrained-word count: whole input bits per block.
 
-    Counts with the recurrence of ``count_constrained`` over a rolling
-    window of d + 1 values, so memory is O(n) bits and the shared count
-    table is left as it is.
+    For n <= d the count is n + 1; beyond that the recurrence of
+    ``count_constrained`` runs over a rolling window of d + 1 < n + 1
+    values, so memory is O(n) bits and the shared count table is left as
+    it is.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     d = spec.d
+    if d >= n:
+        return (n + 1).bit_length() - 1
     window = list(range(1, d + 2))  # a(j) = j + 1 for j <= d, at index j mod (d + 1)
     for j in range(d + 1, n + 1):
         window[j % (d + 1)] += window[(j - 1) % (d + 1)]

@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf2 import BitWord, BinaryMatrix, _int_of
+from .gf2 import BitWord, BinaryMatrix, _int_of, _integer
 
 __all__ = [
     "point_of_index",
@@ -137,6 +137,7 @@ def information_points(m: int, r: int) -> tuple[int, ...]:
     are a prefix of ``_weight_order(m)``.  Raises ValueError for m < 1
     or r outside 0..m.
     """
+    m, r = _integer(m, "m"), _integer(r, "r")
     k = _dimension(m, r)
     return tuple(_weight_order(m)[:k].tolist())
 
@@ -146,6 +147,7 @@ class RmCode:
     <= r.  Row i of ``gen`` is x_T for the point T = ``points[i]``."""
 
     def __init__(self, m: int, r: int):
+        m, r = _integer(m, "m"), _integer(r, "r")
         self.k = _dimension(m, r)
         self.m = m
         self.r = r
@@ -227,6 +229,7 @@ def systematic_generator(m: int, r: int) -> tuple[BinaryMatrix, np.ndarray]:
     the read-only ``_weight_order(m)``: row i is R_a for a = order[i]
     (``_reduced_rows``), the reduced row-echelon form of the permuted
     generator, built without it."""
+    m, r = _integer(m, "m"), _integer(r, "r")
     k, order = _dimension(m, r), _weight_order(m)  # m checked before 1 << m
     points = order[:k].tolist()
     rows = list(map(_and_products(m, order, r).__getitem__, points))  # the x_a's only holder
@@ -241,6 +244,7 @@ def complement_basis(m: int, r: int) -> BinaryMatrix:
     which complements the information set.  Raises ValueError for m < 1
     or r outside 0..m.
     """
+    m, r = _integer(m, "m"), _integer(r, "r")
     k = _dimension(m, r)
     return BinaryMatrix._trusted(RmCode(m, m).gen.row_values[k:], 1 << m)
 

@@ -101,6 +101,7 @@ PARSER_ARGV = [
     [*COSET_ARGV, "--seed", "78"],
     [*COSET_ARGV[:5], "-h"],
     [*COSET_ARGV, "--param", "nan"],
+    [*COSET_ARGV, "--trials", "0"],
 ]
 
 README_ARGV = [
@@ -210,6 +211,75 @@ class TestConfigFile:
         cfg.write_text("d=one\n", encoding="utf-8")
         assert main(["rate-curves", "--config", str(cfg)]) == 2
         capsys.readouterr()
+
+
+# each single-option range of the command table
+RANGES = {
+    "d": (0, None), "m": (1, 14), "r": (0, None), "part_exponent": (1, None),
+    "m_max": (1, 12), "param": (0, 1), "trials": (1, None), "samples": (1, None),
+    "seed": (0, None),
+}
+
+# a valid configuration of each command, in which each bounded option is
+# set past its bounds in turn
+VALID_OPTIONS = {
+    "rate-curves": {"d": "1", "part_exponent": "2"},
+    "verify-lemmas": {"m_max": "2"},
+    "subcode-oracle": {"m": "3", "r": "1", "d": "1"},
+    "coset-trial": {
+        "m": "5", "r": "2", "d": "1", "part_exponent": "2", "channel": "bsc",
+        "param": "0.05", "trials": "20", "seed": "77",
+    },
+    "crossover": {"d": "1", "part_exponent": "2"},
+    "perm-sweep": {"m": "4", "r": "1", "d": "1", "samples": "2", "seed": "1"},
+}
+
+
+def bound_violations():
+    """A value one past each bound of each bounded option in the command
+    table, NaN and inf for param, each with the stderr it must give."""
+    for command, cmd in cli.COMMANDS.items():
+        for o in cmd.opts:
+            if not o.bounds:
+                continue
+            low, high = o.bounds
+            cases = [(str(low - 1), f"at least {low}")]
+            if high is not None:
+                cases.append((str(high + 1), f"at most {high}"))
+            if o.name == "param":
+                cases += [("nan", f"at least {low}"), ("inf", f"at most {high}")]
+            for value, side in cases:
+                err = f"error: {o.name} must be {side}\n"
+                yield pytest.param(command, o.name, value, err, id=f"{command}-{o.name}={value}")
+
+
+class TestOptionBounds:
+    def test_ranges_are_declared_in_the_table(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        for command, cmd in cli.COMMANDS.items():
+            assert main([command, "-h"]) == 0
+            help_text = capsys.readouterr().out
+            for o in cmd.opts:
+                assert o.bounds == RANGES.get(o.name, ())
+                assert cli._range(o) in help_text
+
+    @pytest.mark.parametrize("command, name, value, err", bound_violations())
+    def test_every_route_rejects_a_value_past_a_bound(
+        self, command, name, value, err, tmp_path, capsys
+    ):
+        # the spelled-out argv is parsed from the table unless its value
+        # starts with '-', which leaves it to argparse like --flag=value
+        flag = cli._flag(name)
+        valid = VALID_OPTIONS[command]
+        others = [x for key in valid if key != name for x in (cli._flag(key), valid[key])]
+        spelled = [command, *others, flag, value]
+        assert (cli._parse_spelled_out(spelled) is None) == value.startswith("-")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name}={value}\n", encoding="utf-8")
+        assigned = [command, *others, f"{flag}={value}"]
+        for argv in (spelled, assigned, [command, *others, "--config", str(cfg)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", err)
 
 
 class TestRateCurves:
@@ -433,9 +503,10 @@ class TestVerifyLemmas:
             assert sorted(calls["complement_basis"]) == list(range(1, min(m_max, 8) + 1))
 
     def test_m_max_validation(self, tmp_path, capsys):
-        for m_max in ("13", "0"):
+        cases = (("13", "m_max must be at most 12"), ("0", "m_max must be at least 1"))
+        for m_max, message in cases:
             assert run(tmp_path, "verify-lemmas", "--m-max", m_max)[0] == 2
-            assert "error: m-max must lie in 1..12" in capsys.readouterr().err
+            assert f"error: {message}" in capsys.readouterr().err
 
     def test_library_hook_matches_cli(self):
         lines, ok = lemma_checks(2)
@@ -683,14 +754,19 @@ class TestCosetTrial:
             "--trials", "10", "--seed", "-1",
         )
         assert code == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert "seed must be at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--trials", "0", "trials must be positive"),
-            ("--seed", "-1", "seed must be nonnegative"),
-            ("--param", "1.5", "erasure probability must lie in [0, 1]"),
+            ("--trials", "0", "trials must be at least 1"),
+            ("--seed", "-1", "seed must be at least 0"),
+            ("--param", "1.5", "param must be at most 1"),
+        ],
+        ids=[  # each names the rule that is broken
+            "--trials-0-trials must be positive",
+            "--seed--1-seed must be nonnegative",
+            "--param-1.5-erasure probability must lie in [0, 1]",
         ],
     )
     def test_scalar_options_checked_before_plan(
@@ -827,7 +903,7 @@ class TestPermSweep:
             "--samples", "2", "--seed", "-1",
         )
         assert code == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert "seed must be at least 0" in capsys.readouterr().err
 
 
 class TestHeaderComments:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -142,6 +143,26 @@ class TestBuildPlan:
         assert plan.payload_bits == 15
         assert plan.total_length == 198
         assert plan.realized_rate == pytest.approx(15 / 198)
+
+    def test_numpy_integers_give_the_int_plan(self):
+        int64 = np.int64
+        for inner_order in (2, None):  # None: the selection rule picks the order
+            want = build_plan(6, 2, RllSpec(1), 3, inner_order)
+            inner64 = None if inner_order is None else int64(inner_order)
+            got = build_plan(int64(6), int64(2), RllSpec(int64(1)), int64(3), inner64)
+            assert dataclasses.replace(got, inner=None) == dataclasses.replace(want, inner=None)
+            for field in dataclasses.fields(got):
+                if field.type == "int":
+                    assert type(getattr(got, field.name)) is int, field.name
+            assert got.inner.gen == want.inner.gen and got.inner.points == want.inner.points
+            assert encode(12345, got) == encode(12345, want)
+
+    def test_non_integer_plan_parameters_rejected(self):
+        for args in ((6.0, 2, 3), (6, 2.0, 3), (6, 2, 3.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build_plan(args[0], args[1], RllSpec(1), args[2], 2)
+        with pytest.raises(ValueError, match="inner order must be an integer"):
+            build_plan(6, 2, RllSpec(1), 3, 2.0)
 
     def test_wide_gap_plan_geometry(self):
         plan = build_plan(5, 2, RllSpec(3), 2, 2)

@@ -211,6 +211,15 @@ class TestBinaryMatrix:
         with pytest.raises(ValueError):
             BinaryMatrix([4], 2)
 
+    def test_rows_read_as_integers(self):
+        # a string is not parsed as a decimal and a float is not truncated
+        for row in ("11", 1.9, 1.0, np.float64(1.0), None):
+            with pytest.raises(ValueError, match="row must be an integer"):
+                BinaryMatrix([row], 4)
+        mat = BinaryMatrix([np.int64(3), np.uint8(5), True, BitWord(6, 4)], 4)
+        assert mat.row_values == (3, 5, 1, 6)
+        assert all(type(v) is int for v in mat.row_values)
+
 
 class TestSolveRight:
     def test_unique_solution_recovers_message(self):

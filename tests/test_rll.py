@@ -33,6 +33,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             RllSpec(-1)
 
+    def test_gap_read_as_an_integer(self):
+        # a numpy int becomes an int (numpy ints have no bit_length); a
+        # float or a string is rejected at construction
+        spec = RllSpec(np.int64(1))
+        assert type(spec.d) is int and spec == RllSpec(1) and spec.anchor_count == 1
+        for d in (1.5, 1.0, "1", None):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                RllSpec(d)
+
 
 class TestIsConstrained:
     def test_matches_direct_definition(self):
@@ -92,6 +101,15 @@ class TestCounts:
         for d in range(6):
             spec = RllSpec(d)
             for n in lengths:
+                assert payload_bits(n, spec) == count_constrained(n, spec).bit_length() - 1
+
+    def test_payload_bits_for_a_gap_beyond_the_length(self):
+        # for d >= n the count is n + 1, found without a window of d + 1 values
+        for n in (0, 1, 10, 1000):
+            assert payload_bits(n, RllSpec(2**70)) == (n + 1).bit_length() - 1
+        for n in range(13):
+            for d in range(15):
+                spec = RllSpec(d)
                 assert payload_bits(n, spec) == count_constrained(n, spec).bit_length() - 1
 
     def test_payload_bits_leaves_count_table(self):

@@ -19,6 +19,7 @@ from rmrll.rm import (
     information_points,
     point_of_index,
     select_order,
+    systematic_generator,
 )
 from rmrll.subcodes import build_subcode
 
@@ -141,6 +142,25 @@ class TestRmCode:
             RmCode(3, 4)
         with pytest.raises(ValueError):
             RmCode(3, -1)
+
+    def test_numpy_integers_give_the_int_code(self):
+        # in numpy's 64-bit arithmetic 1 << 2**m overflows from m = 6 on
+        for m in range(1, 9):
+            for r in range(m + 1):
+                m64, r64 = np.int64(m), np.int64(r)
+                code = RmCode(m64, r64)
+                assert code.gen == RmCode(m, r).gen
+                assert (type(code.m), type(code.r), type(code.n)) == (int, int, int)
+                assert complement_basis(m64, r64) == complement_basis(m, r)
+                assert information_points(m64, r64) == information_points(m, r)
+        gen, _ = systematic_generator(np.int64(6), np.int64(2))
+        assert gen == systematic_generator(6, 2)[0]
+
+    def test_non_integer_parameters_rejected(self):
+        for entry in (RmCode, complement_basis, information_points, systematic_generator):
+            for m, r in ((6.0, 2), (6, 2.0), ("6", 2)):
+                with pytest.raises(ValueError, match="must be an integer"):
+                    entry(m, r)
 
 
 class TestPointWeights:
