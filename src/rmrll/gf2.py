@@ -34,12 +34,15 @@ class BitWord:
     """Immutable binary word of fixed length.
 
     The string form reads coordinate 0 first, so ``BitWord.from_string("0110")``
-    has 1s at coordinates 1 and 2.
+    has 1s at coordinates 1 and 2.  The value and length are read through
+    ``_integer`` unless both are already ints.
     """
 
     __slots__ = ("_v", "_n")
 
     def __init__(self, value: int, length: int):
+        if type(value) is not int or type(length) is not int:
+            value, length = _integer(value, "value"), _integer(length, "length")
         if length < 0:
             raise ValueError("length must be nonnegative")
         if value < 0 or value >> length:
@@ -224,8 +227,9 @@ def _row_basis(
     entries: Sequence[int], ncols: int, basis: dict[int, int] | None = None
 ) -> tuple[dict[int, int], list[int]]:
     """Triangular basis of the span of ``entries``, and the tags of the
-    entries that reduce to zero.  Shared by rank, solve and rref; a
-    given ``basis`` is extended in place.
+    entries that reduce to zero.  Shared by rank, solve, rref and the
+    subcode search (which tags each row with itself, so the zero tags
+    span the rows' shortening); a given ``basis`` is extended in place.
 
     An entry packs ``tag << ncols | vector``, so one XOR updates both;
     solve tags row i with bit i, rank and rref pass bare rows.  Each

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import _index_array
+from .gf2 import _index_array, _integer
 from .rll import RllSpec
 from .rm import RmCode, _point_weights
 
@@ -161,6 +161,7 @@ def lex_run_count(m: int, r: int) -> int:
 def subcode_dimension_bound(k: int, tuple_count: int, spec: RllSpec) -> int:
     """Upper bound max(k - d*t, 0) on the dimension of any linear subcode
     whose nonzero codewords all satisfy the gap constraint."""
+    k, tuple_count = _integer(k, "k"), _integer(tuple_count, "tuple count")
     if k < 0 or tuple_count < 0:
         raise ValueError("arguments must be nonnegative")
     return max(k - spec.d * tuple_count, 0)

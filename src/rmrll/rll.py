@@ -95,6 +95,7 @@ def count_constrained(n: int, spec: RllSpec) -> int:
     a(0) = 1, a(n) = n + 1 for 1 <= n <= d, and
     a(n) = a(n-1) + a(n-d-1) afterwards.  Counts are exact big integers.
     """
+    n = n if type(n) is int else _integer(n, "length")
     if n < 0:
         raise ValueError("length must be nonnegative")
     return _count_list(n, spec.d)[n]
@@ -144,9 +145,10 @@ def noiseless_capacity(spec: RllSpec) -> float:
 
 
 def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:
-    """The constrained word of length n with lexicographic rank ``index``,
-    an integer (``operator.index``: a float raises ValueError)."""
-    index = _integer(index, "index")
+    """The constrained word of length n with lexicographic rank ``index``;
+    both are integers (``_integer``: a float raises ValueError)."""
+    index = index if type(index) is int else _integer(index, "index")
+    n = n if type(n) is int else _integer(n, "length")
     total = count_constrained(n, spec)
     if not 0 <= index < total:
         raise ValueError(f"index must be in [0, {total})")
@@ -188,6 +190,7 @@ def payload_bits(n: int, spec: RllSpec) -> int:
     values, so memory is O(n) bits and the shared count table is left as
     it is.
     """
+    n = _integer(n, "length")
     if n < 0:
         raise ValueError("length must be nonnegative")
     d = spec.d

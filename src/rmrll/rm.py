@@ -64,6 +64,7 @@ __all__ = [
 
 def point_of_index(i: int, m: int) -> tuple[int, ...]:
     """Binary m-tuple of index i, first variable in the most significant bit."""
+    i, m = _integer(i, "index"), _integer(m, "m")
     if not 0 <= i < (1 << m):
         raise ValueError("index out of range")
     return tuple((i >> (m - j)) & 1 for j in range(1, m + 1))

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from typing import Iterator
+from typing import Sequence
 
-from .gf2 import BitWord, BinaryMatrix, _row_basis
+from .gf2 import BitWord, BinaryMatrix, _integer, _row_basis
 from .rll import RllSpec, is_constrained_value
 from .rm import RmCode
 
@@ -75,6 +75,7 @@ def build_subcode(parent: RmCode, spec: RllSpec) -> RllSubcode:
 def subcode_rate(m: int, r: int, spec: RllSpec) -> float:
     """Rate C(m-z, <= r-z) / 2**m of the anchored construction (0 when
     the parameters only admit the zero code)."""
+    m, r = _integer(m, "m"), _integer(r, "r")
     if m < 1 or not 0 <= r <= m:
         raise ValueError("invalid code parameters")
     z = spec.anchor_count
@@ -92,24 +93,26 @@ def is_rll_code(gen: BinaryMatrix, d: int) -> bool:
     return is_constrained_value(support, d)
 
 
-def _maximal_separated_sets(n: int, d: int, last: int, mask: int = 0) -> Iterator[int]:
-    """Bit masks of the maximal d-separated position sets in [0, n) that
-    extend ``mask``, whose highest position is ``last``: each next one is
-    d + 1 to 2d + 1 past the last, and the last is within d of n - 1, so
-    no position can be added.  With last = -d - 1 the first is at most d."""
-    if last + d + 1 >= n:
-        yield mask  # and the range below is empty
-    for nxt in range(last + d + 1, min(last + 2 * d + 2, n)):
-        yield from _maximal_separated_sets(n, d, nxt, mask | 1 << nxt)
+def _best_shortening(rows: Sequence[int], n: int, d: int, start=0, support=0, best=()):
+    """The first widest shortening of the span of the independent ``rows`` to a
+    maximal d-separated S holding ``support`` and next a position in [start, start + d],
+    or ``best`` if none is wider.  A step zeroes the rows where it skips (a leaf: to
+    the end), which never widens them: a subtree no wider than ``best`` is cut."""
+    if start >= n or len(rows) <= len(best):  # a leaf, or a subtree to cut
+        return max(best, rows, key=len)  # best on a tie: the first widest leaf wins
+    for nxt in range(start, min(start + d + 1, n)):
+        grown = support | 1 << nxt
+        skipped = ((1 << (nxt if nxt + d + 1 < n else n)) - 1) & ~grown
+        kept = _row_basis([row << n | row & skipped for row in rows], n)[1]
+        best = _best_shortening(kept, n, d, nxt + d + 1, grown, best)
+    return best
 
 
 def largest_linear_rll_subcode(code: RmCode, spec: RllSpec) -> tuple[int, BinaryMatrix]:
     """Dimension and a basis of a largest linear subcode of ``code`` whose
     nonzero words all have at least d zeros between 1s: with d = 0 the
-    whole code, else C shortened to the best maximal d-separated S (see
-    the module docstring).  For n <= SEARCH_MAX_N every maximal S is
-    tried and the first of least rank kept; the basis is G times the
-    left kernel of G on the columns off S.
+    whole code, else C shortened to the best maximal d-separated S (module
+    docstring), searched for n <= SEARCH_MAX_N; the basis is its rows.
 
     Longer codes are answered only for r <= 1, in closed form: dimension
     1 (the row x_m) for d = r = 1, else 0.  A nonzero word of RM(m, 1) is
@@ -122,14 +125,10 @@ def largest_linear_rll_subcode(code: RmCode, spec: RllSpec) -> tuple[int, Binary
     d, n = spec.d, code.n
     if d == 0:
         return code.k, code.gen
+    if n > SEARCH_MAX_N and code.r > 1:
+        raise ValueError(f"exact search needs length at most {SEARCH_MAX_N} or order at most 1")
     if n > SEARCH_MAX_N:
-        if code.r > 1:
-            raise ValueError(f"exact search needs length at most {SEARCH_MAX_N} or order at most 1")
         rows = code.gen.row_values[-1:] if d == 1 and code.r == 1 else ()  # x_m is the last row
-        return len(rows), BinaryMatrix._trusted(rows, n)
-    best = min(  # the first maximal S of least rank off S
-        _maximal_separated_sets(n, d, -d - 1),
-        key=lambda s: len(_row_basis([row & ~s for row in code.gen.row_values], n)[0]),
-    )
-    kernel = code.gen.solve_right(BitWord(0, n), cols=((1 << n) - 1) ^ best).kernel
-    return len(kernel), BinaryMatrix._trusted([code.gen.vecmat(u).value for u in kernel], n)
+    else:
+        rows = _best_shortening(code.gen.row_values, n, d)  # G's rows are independent
+    return len(rows), BinaryMatrix._trusted(rows, n)

@@ -2,16 +2,17 @@
 
 Everything here is deliberately naive and written against plain numpy
 arrays / Python lists, sharing no code paths with the package, so a bug
-in the packed-integer implementations cannot hide in its own test.  Four
+in the packed-integer implementations cannot hide in its own test.  Five
 exceptions keep a search or elimination the package used to run as the
 reference for what replaced it: ``eliminated_inner_maps``,
-``lattice_largest_rll_subcode``, ``grid_bisection_crossover`` and
-``bisection_select_order``.
+``lattice_largest_rll_subcode``, ``maximal_separated_sets``,
+``grid_bisection_crossover`` and ``bisection_select_order``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -280,6 +281,32 @@ def lattice_largest_rll_subcode(code, spec) -> tuple[int, BinaryMatrix]:
 
     extend([], {0}, 0, sorted(good))
     return len(best), BinaryMatrix(best, code.n)
+
+
+def maximal_separated_sets(n: int, d: int, last: int, mask: int = 0) -> Iterator[int]:
+    """Bit masks of the maximal d-separated position sets in [0, n) that
+    extend ``mask``, whose highest position is ``last``: each next one is
+    d + 1 to 2d + 1 past the last, and the last is within d of n - 1, so
+    no position can be added.  With last = -d - 1 the first is at most d.
+    ``subcodes.largest_linear_rll_subcode`` scored this list one set at a
+    time until its search, which visits the same sets in the same order,
+    replaced it; kept as the search's reference."""
+    if last + d + 1 >= n:
+        yield mask  # and the range below is empty
+    for nxt in range(last + d + 1, min(last + 2 * d + 2, n)):
+        yield from maximal_separated_sets(n, d, nxt, mask | 1 << nxt)
+
+
+def numpy_shortened(gen: np.ndarray, support: int) -> np.ndarray:
+    """Rows spanning the words of the row span of ``gen`` that are zero
+    off the positions in the mask ``support``: the left kernel of ``gen``
+    on the other columns, read from the rows of rref([gen off S | I])
+    that are zero on the gen part, times ``gen``."""
+    k, n = gen.shape
+    off = [c for c in range(n) if not support >> c & 1]
+    reduced, _ = numpy_rref(np.hstack([gen[:, off], np.eye(k, dtype=np.uint8)]))
+    kernel = reduced[~reduced[:, : len(off)].any(axis=1), len(off) :]
+    return kernel.astype(np.int64) @ gen % 2
 
 
 def grid_bisection_crossover(spec, part_exponent: int, tol: float) -> float | None:

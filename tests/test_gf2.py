@@ -67,6 +67,15 @@ class TestBitWord:
             BitWord(-1, 2)
         BitWord(3, 2)  # boundary is fine
 
+    def test_value_and_length_read_as_integers(self):
+        # a numpy int becomes an int (numpy ints have no bit_length); a float is rejected
+        word = BitWord(np.int64(5), np.uint8(8))
+        assert type(word.value) is int and len(word) == 8 and word.support() == (0, 2)
+        assert BitWord(1, 8).concat(BitWord(np.int64(1), 1)).support() == (0, 8)
+        for value, length in ((1.0, 8), (1, 8.0), ("1", 8), (None, 8)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                BitWord(value, length)
+
     def test_hash_eq(self):
         assert BitWord(5, 4) == BitWord(5, 4)
         assert BitWord(5, 4) != BitWord(5, 5)

@@ -213,6 +213,13 @@ class TestCountsAndBounds:
         with pytest.raises(ValueError):
             subcode_dimension_bound(-1, 0, RllSpec(1))
 
+    def test_dimension_bound_reads_integers(self):
+        bound = subcode_dimension_bound(np.int64(22), np.uint8(11), RllSpec(1))
+        assert bound == 11 and type(bound) is int
+        for k, t in ((5.5, 1), (5, 1.0), ("5", 1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                subcode_dimension_bound(k, t, RllSpec(1))
+
     def test_asymptotic_bound(self):
         assert asymptotic_linear_bound(0.5, RllSpec(1)) == 0.25
         assert asymptotic_linear_bound(0.9, RllSpec(2)) == pytest.approx(0.3)

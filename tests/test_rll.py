@@ -96,6 +96,18 @@ class TestCounts:
         with pytest.raises(ValueError):
             payload_bits(-1, RllSpec(1))
 
+    def test_count_length_read_as_an_integer(self):
+        assert count_constrained(np.int64(5), RllSpec(1)) == count_constrained(5, RllSpec(1)) == 13
+        for n in (5.0, "5", None):
+            with pytest.raises(ValueError, match="length must be an integer"):
+                count_constrained(n, RllSpec(1))
+
+    def test_payload_bits_length_read_as_an_integer(self):
+        assert payload_bits(np.int64(5), RllSpec(9)) == payload_bits(5, RllSpec(9)) == 2
+        for n in (5.0, "5", None):
+            with pytest.raises(ValueError, match="length must be an integer"):
+                payload_bits(n, RllSpec(9))
+
     def test_payload_bits_matches_count_table(self):
         lengths = sorted(set(range(101)) | set(range(101, 3001, 37)) | {3000})
         for d in range(6):
@@ -224,6 +236,14 @@ class TestEnumerative:
                 enumerative_encode(index, 4, RllSpec(1))
         for index in (np.int64(7), np.uint8(7)):
             assert enumerative_encode(index, 4, RllSpec(1)).to01() == "1010"
+
+    def test_length_read_as_an_integer(self):
+        # a numpy length past 64 bits does not overflow the counts; a float is rejected
+        word = enumerative_encode(3, np.int64(70), RllSpec(1))
+        assert word == enumerative_encode(3, 70, RllSpec(1)) and type(len(word)) is int
+        for n in (4.0, "4", None):
+            with pytest.raises(ValueError, match="length must be an integer"):
+                enumerative_encode(3, n, RllSpec(1))
 
     def test_rejects_unconstrained_word(self):
         with pytest.raises(ValueError):

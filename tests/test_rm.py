@@ -45,6 +45,14 @@ class TestPoints:
         with pytest.raises(ValueError):
             point_of_index(8, 3)
 
+    def test_read_as_integers(self):
+        # a numpy m is not shifted in int64, where 1 << 70 wraps
+        assert point_of_index(3, np.int64(70)) == point_of_index(3, 70) == (0,) * 68 + (1, 1)
+        assert point_of_index(np.int64(6), 3) == (1, 1, 0)
+        for i, m in ((6.0, 3), (6, 3.0), ("6", 3)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                point_of_index(i, m)
+
 
 class TestEvalMonomial:
     def test_matches_pointwise_oracle(self):

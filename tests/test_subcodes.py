@@ -1,5 +1,7 @@
+import warnings
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,20 @@ from rmrll.ordering import lexicographic_ordering, run_profile, subcode_dimensio
 from rmrll.rll import RllSpec, is_constrained
 from rmrll.rm import RmCode
 from rmrll.subcodes import (
-    _maximal_separated_sets,
+    _best_shortening,
     build_subcode,
     is_rll_code,
     largest_linear_rll_subcode,
     subcode_rate,
 )
 
-from oracles import gap_ok, lattice_largest_rll_subcode
+from oracles import (
+    gap_ok,
+    lattice_largest_rll_subcode,
+    maximal_separated_sets,
+    numpy_rank,
+    numpy_shortened,
+)
 
 
 def all_codewords(gen):
@@ -134,6 +142,29 @@ class TestRate:
         with pytest.raises(ValueError):
             subcode_rate(3, 4, RllSpec(1))
 
+    def test_parameters_read_as_integers(self):
+        # a numpy m is not shifted in int64, where 1 << 70 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = subcode_rate(np.int64(70), np.int64(1), RllSpec(1))
+        assert rate == subcode_rate(70, 1, RllSpec(1)) == 2.0**-70  # C(69, 0) / 2**70
+        for m, r in ((5.0, 1), (5, 1.0), ("5", 1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                subcode_rate(m, r, RllSpec(1))
+
+
+PINNED_M5_ROWS = [  # d, r, (construction, exact, run bound) at m = 5
+    (1, 3, (11, 11, 15)),
+    (1, 4, (15, 15, 16)),
+    (1, 5, (16, 16, 16)),
+    (2, 3, (4, 6, 10)),
+    (2, 4, (7, 10, 11)),
+    (2, 5, (8, 11, 12)),
+    (3, 3, (4, 4, 14)),
+    (3, 4, (7, 7, 10)),
+    (3, 5, (8, 8, 8)),
+]
+
 
 class TestOracle:
     def test_frozen_values(self):
@@ -196,20 +227,7 @@ class TestOracle:
         with pytest.raises(ValueError, match="length at most 32 or order at most 1"):
             largest_linear_rll_subcode(RmCode(6, 2), RllSpec(1))
 
-    @pytest.mark.parametrize(
-        "d, r, want",
-        [
-            (1, 3, (11, 11, 15)),
-            (1, 4, (15, 15, 16)),
-            (1, 5, (16, 16, 16)),
-            (2, 3, (4, 6, 10)),
-            (2, 4, (7, 10, 11)),
-            (2, 5, (8, 11, 12)),
-            (3, 3, (4, 4, 14)),
-            (3, 4, (7, 7, 10)),
-            (3, 5, (8, 8, 8)),
-        ],
-    )
+    @pytest.mark.parametrize("d, r, want", PINNED_M5_ROWS)
     def test_pinned_m5_rows(self, d, r, want):
         # (construction, exact, run bound); the construction is not optimal for d = 2
         code, spec = RmCode(5, r), RllSpec(d)
@@ -221,9 +239,11 @@ class TestOracle:
         assert is_rll_code(basis, d)
 
 
+SEARCH_CODES = [(m, r, d) for m in range(1, 5) for r in range(m + 1) for d in (1, 2, 3)] + [
+    (5, r, d) for r in range(3) for d in (1, 2, 3)
+]
 LATTICE_CODES = (
-    [(m, r, d) for m in range(1, 5) for r in range(m + 1) for d in (1, 2, 3)]
-    + [(5, r, d) for r in range(3) for d in (1, 2, 3)]
+    SEARCH_CODES
     + [(m, r, d) for m in range(6, 9) for r in range(2) for d in (1, 2, 3)]  # closed form
     + [(3, 1, 8)]  # m < z: no anchored construction, and the optimum is 0
 )
@@ -240,6 +260,44 @@ def test_optimum_matches_lattice_search(m, r, d):
     assert is_rll_code(basis, d)
 
 
+@pytest.mark.parametrize("m, r, d", SEARCH_CODES)
+def test_search_matches_every_maximal_set(m, r, d):
+    # the best shortening over the listed sets, and the first set that reaches it
+    code = RmCode(m, r)
+    gen = code.gen.to_array()
+    sets = list(maximal_separated_sets(code.n, d, -d - 1))
+    dims = [code.k - numpy_rank(gen[:, [c for c in range(code.n) if not s >> c & 1]]) for s in sets]
+    dim, basis = largest_linear_rll_subcode(code, RllSpec(d))
+    assert dim == max(dims)
+    want, got = numpy_shortened(gen, sets[dims.index(dim)]), basis.to_array()
+    assert numpy_rank(got) == numpy_rank(want) == numpy_rank(np.vstack([want, got])) == dim
+
+
+def test_search_needs_no_solve_or_product(monkeypatch):
+    # the search carries the shortened rows, so no kernel is solved for or multiplied out
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search called a solve or a product")
+
+    monkeypatch.setattr(BinaryMatrix, "solve_right", refuse)
+    monkeypatch.setattr(BinaryMatrix, "vecmat", refuse)
+    for d, r, want in PINNED_M5_ROWS:
+        dim, basis = largest_linear_rll_subcode(RmCode(5, r), RllSpec(d))
+        assert dim == basis.nrows == want[1]
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_search_beyond_32_matches_closed_form(r):
+    # n = 64 is answered in closed form for r <= 1; the search reaches the same
+    # dimension.  For d = r = 1 it keeps 1 + x_m, on the first S (the even
+    # positions), where the closed form gives x_m: both are optimal.
+    code = RmCode(6, r)
+    for d in (1, 2, 3, 4):
+        rows = tuple(_best_shortening(code.gen.row_values, code.n, d))
+        assert len(rows) == largest_linear_rll_subcode(code, RllSpec(d))[0]
+        assert is_rll_code(BinaryMatrix(rows, code.n), d)
+        assert BinaryMatrix(code.gen.row_values + rows, code.n).rank() == code.k
+
+
 def test_maximal_separated_sets_match_filtered_cube():
     for n in range(1, 11):
         for d in range(5):
@@ -252,7 +310,7 @@ def test_maximal_separated_sets_match_filtered_cube():
                 for s in range(1 << n)
                 if separated(s) and not any(separated(s | 1 << i) for i in range(n) if not s >> i & 1)
             }
-            got = list(_maximal_separated_sets(n, d, -d - 1))
+            got = list(maximal_separated_sets(n, d, -d - 1))
             assert len(got) == len(want) and set(got) == want
 
 
