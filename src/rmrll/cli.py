@@ -32,7 +32,7 @@ from .coset import (
     decode,
     encode,
 )
-from .gf2 import _pack_bits, _row_basis
+from .gf2 import _pack_bits
 from .ordering import (
     bounded_run_counts,
     gray_ordering,
@@ -204,31 +204,25 @@ def cmd_rate_curves(p: dict) -> tuple[Iterator[str], int]:
 LEMMA_M = 12  # the run checks cover every m up to it, whatever m_max
 
 
-def _complement_ranks(m: int) -> tuple[tuple[int, ...], bool]:
-    """The rank of ``complement_basis(m, r)`` for each r in 0..m, and
-    whether its rows fit: there are 2**m - 1 of them and each vanishes
-    on the points of weight below its degree.
+def _complement_spans(m: int) -> bool:
+    """Whether each ``complement_basis(m, r)`` spans exactly the unit
+    vectors off RM(m, r)'s information set, for every r in 0..m.
 
     ``complement_basis(m, r)`` is the last 2**m - k_r rows of
-    ``complement_basis(m, 0)``, the monomials by ascending degree, so one
-    basis read after each degree, from the top down, gives every rank.
-    A row of degree j is in it for each r < j, so vanishing on the
-    weight-<=r information set for all of them is vanishing below j.
+    ``complement_basis(m, 0)``, the monomials by ascending degree.  Its
+    2**m - 1 rows have pairwise distinct, nonzero lowest 1s, so every
+    suffix is independent and has rank 2**m - k_r, the number of points
+    off the information set; a row of degree j is in it for each r < j,
+    so vanishing there for all of them is vanishing below weight j.
     """
-    n = 1 << m
     weights = _point_weights(m)
     ks = [_dimension(m, r) for r in range(m + 1)]
     rows = complement_basis(m, 0).row_values
-    fits = len(rows) == n - 1
-    basis: dict[int, int] = {}
-    ranks = [0]  # r = m: no rows
-    for j in range(m, 0, -1):
-        degree_j = rows[ks[j - 1] - 1 : ks[j] - 1]
+    ok = len(rows) == len({row & -row for row in rows} - {0}) == (1 << m) - 1
+    for j in range(1, m + 1):
         below = _pack_bits(weights < j)
-        fits &= not any(row & below for row in degree_j)
-        _row_basis(degree_j, n, basis)
-        ranks.append(len(basis))
-    return tuple(reversed(ranks)), fits
+        ok &= not any(row & below for row in rows[ks[j - 1] - 1 : ks[j] - 1])
+    return ok
 
 
 def lemma_checks(m_max: int) -> tuple[list[str], bool]:
@@ -241,9 +235,10 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     information set, so one certificate checks every rank: each column's
     highest 1 (``bit_length`` of ``_down_set_columns``) is on the
     diagonal; the point weights along that order check that it is the
-    weight order.  One basis built from the top degree down gives every
-    complement rank (``_complement_ranks``), and one scan of the point
-    weights per ordering every bounded-run count (``bounded_run_counts``).
+    weight order.  The complement spans are certified by pivots too: the
+    complement rows' lowest 1s are distinct (``_complement_spans``).  One
+    scan of the point weights per ordering gives every bounded-run count
+    (``bounded_run_counts``).
     """
     if not 1 <= m_max <= LEMMA_M:
         raise ValueError(f"m-max must lie in 1..{LEMMA_M}")
@@ -262,10 +257,7 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
             all_ok &= ok
 
         if m <= min(m_max, 8):
-            # rows that vanish on the information set, with rank the
-            # number of points off it, span exactly the unit vectors there
-            ranks, fits = _complement_ranks(m)
-            ok = fits and ranks == tuple(n - _dimension(m, r) for r in range(m + 1))
+            ok = _complement_spans(m)
             span_lines.append(f"check=complement-span m={m} status={'ok' if ok else 'FAIL'}")
             all_ok &= ok
 

@@ -223,13 +223,11 @@ class Solution(NamedTuple):
     kernel: tuple[BitWord, ...] = ()
 
 
-def _row_basis(
-    entries: Sequence[int], ncols: int, basis: dict[int, int] | None = None
-) -> tuple[dict[int, int], list[int]]:
+def _row_basis(entries: Sequence[int], ncols: int) -> tuple[dict[int, int], list[int]]:
     """Triangular basis of the span of ``entries``, and the tags of the
     entries that reduce to zero.  Shared by rank, solve, rref and the
     subcode search (which tags each row with itself, so the zero tags
-    span the rows' shortening); a given ``basis`` is extended in place.
+    span the rows' shortening).
 
     An entry packs ``tag << ncols | vector``, so one XOR updates both;
     solve tags row i with bit i, rank and rref pass bare rows.  Each
@@ -240,8 +238,7 @@ def _row_basis(
     the zero-reducing tags form a basis of the left kernel, entry i's
     with its own bit as its highest bit.
     """
-    if basis is None:
-        basis = {}
+    basis: dict[int, int] = {}
     kernel: list[int] = []
     for acc in entries:
         while 0 < (lead := (acc & -acc).bit_length()) <= ncols:

@@ -79,7 +79,9 @@ _COUNTS: dict[int, list[int]] = {}  # d -> counts by length, grown on demand
 
 
 def _count_list(n: int, d: int) -> list[int]:
-    """The shared list of counts for gap d, grown to cover lengths 0..n."""
+    """The enumerative coders' shared list of counts for gap d, grown to
+    cover lengths 0..n and kept: a(j) = j + 1 for j <= d, then the
+    recurrence of ``count_constrained``.  n must be nonnegative."""
     a = _COUNTS.get(d)
     if a is None:
         a = _COUNTS[d] = [1]
@@ -94,11 +96,19 @@ def count_constrained(n: int, spec: RllSpec) -> int:
 
     a(0) = 1, a(n) = n + 1 for 1 <= n <= d, and
     a(n) = a(n-1) + a(n-d-1) afterwards.  Counts are exact big integers.
+    The recurrence runs over a rolling window of d + 1 < n + 1 values, so
+    memory is O(n) bits and the enumerative coders' table is left as it is.
     """
     n = n if type(n) is int else _integer(n, "length")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return _count_list(n, spec.d)[n]
+    d = spec.d
+    if d >= n:
+        return n + 1
+    window = list(range(1, d + 2))  # a(j) = j + 1 for j <= d, at index j mod (d + 1)
+    for j in range(d + 1, n + 1):
+        window[j % (d + 1)] += window[(j - 1) % (d + 1)]
+    return window[n % (d + 1)]
 
 
 def _bisect(below, lo: float, hi: float, tol: float) -> float:
@@ -149,10 +159,11 @@ def enumerative_encode(index: int, n: int, spec: RllSpec) -> BitWord:
     both are integers (``_integer``: a float raises ValueError)."""
     index = index if type(index) is int else _integer(index, "index")
     n = n if type(n) is int else _integer(n, "length")
-    total = count_constrained(n, spec)
-    if not 0 <= index < total:
-        raise ValueError(f"index must be in [0, {total})")
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     counts = _count_list(n, spec.d)
+    if not 0 <= index < counts[n]:
+        raise ValueError(f"index must be in [0, {counts[n]})")
     v = 0
     forced = 0
     rem = index
@@ -183,20 +194,5 @@ def enumerative_decode(word: BitWord, spec: RllSpec) -> int:
 
 
 def payload_bits(n: int, spec: RllSpec) -> int:
-    """floor(log2) of the constrained-word count: whole input bits per block.
-
-    For n <= d the count is n + 1; beyond that the recurrence of
-    ``count_constrained`` runs over a rolling window of d + 1 < n + 1
-    values, so memory is O(n) bits and the shared count table is left as
-    it is.
-    """
-    n = _integer(n, "length")
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    d = spec.d
-    if d >= n:
-        return (n + 1).bit_length() - 1
-    window = list(range(1, d + 2))  # a(j) = j + 1 for j <= d, at index j mod (d + 1)
-    for j in range(d + 1, n + 1):
-        window[j % (d + 1)] += window[(j - 1) % (d + 1)]
-    return window[n % (d + 1)].bit_length() - 1
+    """floor(log2) of the constrained-word count: whole input bits per block."""
+    return count_constrained(n, spec).bit_length() - 1

@@ -86,7 +86,9 @@ def subcode_rate(m: int, r: int, spec: RllSpec) -> float:
 
 def is_rll_code(gen: BinaryMatrix, d: int) -> bool:
     """True when every word in the row span of ``gen`` has at least d
-    zeros between 1s: when the OR of its rows does (module docstring)."""
+    zeros between 1s: when the OR of its rows does (module docstring).
+    ``d`` is read as ``RllSpec(d).d``, so it must be a nonnegative integer."""
+    d = RllSpec(d).d
     support = 0
     for row in gen.row_values:
         support |= row
@@ -115,9 +117,10 @@ def largest_linear_rll_subcode(code: RmCode, spec: RllSpec) -> tuple[int, Binary
     docstring), searched for n <= SEARCH_MAX_N; the basis is its rows.
 
     Longer codes are answered only for r <= 1, in closed form: dimension
-    1 (the row x_m) for d = r = 1, else 0.  A nonzero word of RM(m, 1) is
-    the all-ones word, which breaks any gap, or has weight n/2, and the
-    nonzero words of a constrained subcode lie in its support S, where
+    1 for d = r = 1, with the row the search keeps, 1 + x_m (the even
+    positions), else 0.  A nonzero word of RM(m, 1) is the all-ones
+    word, which breaks any gap, or has weight n/2, and the nonzero words
+    of a constrained subcode lie in its support S, where
     (|S| - 1)(d + 1) < n.  For m >= 3 that leaves |S| >= n/2 only for
     d = 1 and |S| = n/2, so every nonzero word has support S: there is
     at most one.  Raises ValueError for n > SEARCH_MAX_N and r >= 2.
@@ -128,7 +131,8 @@ def largest_linear_rll_subcode(code: RmCode, spec: RllSpec) -> tuple[int, Binary
     if n > SEARCH_MAX_N and code.r > 1:
         raise ValueError(f"exact search needs length at most {SEARCH_MAX_N} or order at most 1")
     if n > SEARCH_MAX_N:
-        rows = code.gen.row_values[-1:] if d == 1 and code.r == 1 else ()  # x_m is the last row
+        gen = code.gen.row_values  # 1 is the first row, x_m the last
+        rows = (gen[0] ^ gen[-1],) if d == 1 and code.r == 1 else ()
     else:
         rows = _best_shortening(code.gen.row_values, n, d)  # G's rows are independent
     return len(rows), BinaryMatrix._trusted(rows, n)

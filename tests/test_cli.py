@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmrll import cli
+from rmrll import cli, gf2
 from rmrll.cli import lemma_checks, main
 from rmrll.coset import coset_rate_lower_bound
 from rmrll.gf2 import BinaryMatrix
@@ -444,11 +444,21 @@ class TestVerifyLemmas:
         assert "check=lex-run-count m=2 status=ok" in text
 
     def test_complement_ranks_match_each_basis(self):
-        # one basis from the top degree down gives each complement_basis's rank
+        # the pivot certificate holds, and elimination finds the ranks it implies
         for m in range(1, 9):
-            ranks, fits = cli._complement_ranks(m)
-            assert fits
-            assert ranks == tuple(complement_basis(m, r).rank() for r in range(m + 1))
+            assert cli._complement_spans(m)
+            for r in range(m + 1):
+                k = sum(comb(m, i) for i in range(r + 1))
+                assert complement_basis(m, r).rank() == (1 << m) - k
+
+    def test_spans_certified_without_elimination(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("_row_basis called")
+
+        monkeypatch.setattr(gf2, "_row_basis", no_elimination)
+        monkeypatch.setattr(cli, "_row_basis", no_elimination, raising=False)
+        lines, ok = lemma_checks(8)
+        assert ok and "check=complement-span m=8 status=ok" in lines
 
     def test_dependent_complement_row_fails(self, tmp_path, monkeypatch):
         # the top-degree row doubled into the one below it: every row still

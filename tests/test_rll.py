@@ -111,9 +111,21 @@ class TestCounts:
     def test_payload_bits_matches_count_table(self):
         lengths = sorted(set(range(101)) | set(range(101, 3001, 37)) | {3000})
         for d in range(6):
-            spec = RllSpec(d)
+            table = rll._count_list(3000, d)
             for n in lengths:
-                assert payload_bits(n, spec) == count_constrained(n, spec).bit_length() - 1
+                assert payload_bits(n, RllSpec(d)) == table[n].bit_length() - 1
+
+    def test_count_matches_enumerative_table(self):
+        # the rolling recurrence and the enumerative coders' table agree
+        for d in range(7):
+            table = rll._count_list(300, d)
+            assert [count_constrained(n, RllSpec(d)) for n in range(301)] == table[:301]
+
+    def test_count_leaves_count_table(self):
+        d = 23  # a gap no other test counts at
+        before = list(rll._COUNTS.get(d, ()))
+        count_constrained(3000, RllSpec(d))
+        assert list(rll._COUNTS.get(d, ())) == before
 
     def test_payload_bits_for_a_gap_beyond_the_length(self):
         # for d >= n the count is n + 1, found without a window of d + 1 values
@@ -228,6 +240,11 @@ class TestEnumerative:
             enumerative_encode(8, 4, RllSpec(1))
         with pytest.raises(ValueError):
             enumerative_encode(-1, 4, RllSpec(1))
+
+    def test_rejects_negative_length(self):
+        # the coders' table would read a(-1) as its last entry
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            enumerative_encode(0, -1, RllSpec(1))
 
     def test_rejects_non_integer_index(self):
         # a float is not truncated to the index below it; numpy ints pass

@@ -287,13 +287,13 @@ def test_search_needs_no_solve_or_product(monkeypatch):
 
 @pytest.mark.parametrize("r", [0, 1])
 def test_search_beyond_32_matches_closed_form(r):
-    # n = 64 is answered in closed form for r <= 1; the search reaches the same
-    # dimension.  For d = r = 1 it keeps 1 + x_m, on the first S (the even
-    # positions), where the closed form gives x_m: both are optimal.
+    # n = 64 is answered in closed form for r <= 1; the search returns the
+    # same rows, so searching longer codes would change no basis.  For
+    # d = r = 1 that is 1 + x_m, on the first S (the even positions).
     code = RmCode(6, r)
     for d in (1, 2, 3, 4):
         rows = tuple(_best_shortening(code.gen.row_values, code.n, d))
-        assert len(rows) == largest_linear_rll_subcode(code, RllSpec(d))[0]
+        assert tuple(largest_linear_rll_subcode(code, RllSpec(d))[1].row_values) == rows
         assert is_rll_code(BinaryMatrix(rows, code.n), d)
         assert BinaryMatrix(code.gen.row_values + rows, code.n).rank() == code.k
 
@@ -323,3 +323,13 @@ def test_is_rll_code_matches_enumerated_span(data):
     gen = BinaryMatrix(rows, n)
     want = all(gap_ok([(w >> i) & 1 for i in range(n)], d) for w in all_codewords(gen))
     assert is_rll_code(gen, d) == want
+
+
+def test_is_rll_code_reads_the_gap_as_a_spec():
+    gen = BinaryMatrix([5], 3)
+    assert is_rll_code(gen, np.int64(1)) and not is_rll_code(gen, 2)
+    with pytest.raises(ValueError, match="d must be nonnegative"):
+        is_rll_code(gen, -1)
+    for d in (1.5, "1", None):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            is_rll_code(gen, d)
