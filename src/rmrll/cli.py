@@ -32,7 +32,7 @@ from .coset import (
     decode,
     encode,
 )
-from .gf2 import _pack_bits
+from .gf2 import _integer, _pack_bits
 from .ordering import (
     bounded_run_counts,
     gray_ordering,
@@ -46,7 +46,7 @@ from .rll import RllSpec, noiseless_capacity
 from .rm import (
     RmCode,
     _dimension,
-    _down_set_columns,
+    _down_set_heights,
     _point_weights,
     _weight_order,
     complement_basis,
@@ -227,19 +227,20 @@ def _complement_spans(m: int) -> bool:
 
 def lemma_checks(m_max: int) -> tuple[list[str], bool]:
     """Structural verification report.  Raises ValueError for m_max
-    outside 1..12.
+    outside 1..12 or not an integer (``_integer``: a float or a string).
 
     Each m's work is done once for every r.  With rows and columns in
     the weight order ``_weight_order(m)``, the first k of all 2**m
     monomials x_a are RM(m, r)'s generator and the first k columns its
     information set, so one certificate checks every rank: each column's
-    highest 1 (``bit_length`` of ``_down_set_columns``) is on the
-    diagonal; the point weights along that order check that it is the
-    weight order.  The complement spans are certified by pivots too: the
-    complement rows' lowest 1s are distinct (``_complement_spans``).  One
-    scan of the point weights per ordering gives every bounded-run count
-    (``bounded_run_counts``).
+    highest 1 (``_down_set_heights``, a max-over-subsets transform) is on
+    the diagonal; the point weights along that order check that it is
+    the weight order.  The complement spans are certified by pivots too:
+    the complement rows' lowest 1s are distinct (``_complement_spans``).
+    One scan of the point weights per ordering gives every bounded-run
+    count (``bounded_run_counts``).
     """
+    m_max = _integer(m_max, "m-max")
     if not 1 <= m_max <= LEMMA_M:
         raise ValueError(f"m-max must lie in 1..{LEMMA_M}")
     rank_lines, span_lines, run_lines = [], [], []
@@ -249,7 +250,7 @@ def lemma_checks(m_max: int) -> tuple[list[str], bool]:
         if m <= m_max:
             weights = _point_weights(m)
             order = _weight_order(m)
-            heights = np.fromiter(map(int.bit_length, _down_set_columns(m, order)), np.intp, n)
+            heights = _down_set_heights(m, order)
             ok = np.array_equal(heights[order], np.arange(1, n + 1)) and np.array_equal(
                 weights[order], np.sort(weights)
             )

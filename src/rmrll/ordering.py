@@ -44,7 +44,8 @@ class Ordering:
     ``perm`` may be given as any sequence of integers or an integer
     index array; it is stored as a tuple of Python ints.  ``positions``
     is ``perm`` as a read-only index array, the one validated in numpy
-    at construction.
+    at construction.  ``m`` is read through ``_integer`` (a float raises
+    ValueError) and must be nonnegative.
     """
 
     m: int
@@ -54,7 +55,11 @@ class Ordering:
     positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = 1 << self.m
+        m = _integer(self.m, "m")
+        if m < 0:
+            raise ValueError("m must be nonnegative")
+        object.__setattr__(self, "m", m)
+        n = 1 << m
         message = "perm must be a permutation of [0, 2**m)"
         positions = _index_array(self.perm, n, message)
         if positions is self.perm:  # the caller's array: keep a copy

@@ -36,8 +36,8 @@ RM(m, r)'s generator in the first k rows and its information set in the
 first k columns, for every r at once.  With rows and columns in that
 order the matrix x_a(b) = [a <= b] is upper unitriangular, as a < b
 forces |a| < |b|; ``verify-lemmas`` checks that every column's highest
-1 is on its diagonal (``_down_set_columns``), so every leading block has
-full rank.
+1 is on its diagonal (``_down_set_heights``, which finds those heights
+without building a column), so every leading block has full rank.
 """
 
 from __future__ import annotations
@@ -188,13 +188,22 @@ def _and_products(m: int, order, depth: int) -> list[int]:
     return out
 
 
-def _down_set_columns(m: int, order) -> list[int]:
-    """Column b of the matrix x_a(b) with the rows a in ``order``, for
-    every point b by index: bit p is 1 exactly when order[p] has no
-    variable outside b, that is when ~b <= ~order[p].  So the column is
-    ``_and_products`` on the complemented order at b's complement,
-    2**m - 1 - b."""
-    return _and_products(m, np.subtract((1 << m) - 1, order), m)[::-1]
+def _down_set_heights(m: int, order) -> np.ndarray:
+    """For every point b by index, the height of the highest 1 in column
+    b of the matrix x_a(b) with the rows a in ``order``: 1 + the last
+    position p with order[p] <= b, or 0 when there is none.
+
+    Each position's height is placed at its point, then one in-place
+    maximum pass per variable carries it to the points that add that
+    variable (the max-over-subsets transform), on O(m * 2**m) small ints
+    with no column built.
+    """
+    heights = np.zeros(1 << m, np.intp)
+    heights[np.asarray(order, np.intp)] = np.arange(1, len(order) + 1)
+    for j in range(m):  # index bit j: the points without it, then with it
+        pairs = heights.reshape(-1, 2, 1 << j)
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return heights
 
 
 def _superset_sum_masks(r: int, classes: Sequence[int]) -> list[int]:

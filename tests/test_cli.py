@@ -376,15 +376,15 @@ class TestVerifyLemmas:
 
     def test_fault_injection_fails(self, tmp_path, monkeypatch):
         # one column gaining a 1 below its diagonal must fail the run
-        honest = cli._down_set_columns
+        honest = cli._down_set_heights
 
         def faulty(m, order):
-            cols = honest(m, order)
+            heights = honest(m, order)
             if m == 2:
-                cols[order[1]] |= 1 << 2  # position 1's column, row 2
-            return cols
+                heights[order[1]] = 3  # position 1's column, highest 1 at row 2
+            return heights
 
-        monkeypatch.setattr(cli, "_down_set_columns", faulty)
+        monkeypatch.setattr(cli, "_down_set_heights", faulty)
         self.assert_fails(tmp_path, "info-set-rank")
 
     def test_points_out_of_weight_order_fail(self, tmp_path, monkeypatch):
@@ -396,12 +396,11 @@ class TestVerifyLemmas:
         )
 
         def triangular(m, order):  # column b's highest 1 at b's position
-            cols = [0] * len(order)
-            for p, b in enumerate(order):
-                cols[b] = 1 << p
-            return cols
+            heights = np.zeros(len(order), np.intp)
+            heights[order] = np.arange(1, len(order) + 1)
+            return heights
 
-        monkeypatch.setattr(cli, "_down_set_columns", triangular)
+        monkeypatch.setattr(cli, "_down_set_heights", triangular)
         self.assert_fails(tmp_path, "info-set-rank")
 
     def test_complement_row_on_information_set_fails(self, tmp_path, monkeypatch):
@@ -482,16 +481,16 @@ class TestVerifyLemmas:
     def test_each_m_work_done_once(self, monkeypatch):
         calls = {}
         honest_order = cli._weight_order
-        honest_columns = cli._down_set_columns
+        honest_heights = cli._down_set_heights
         honest_complement = cli.complement_basis
 
         def weight_order(m):
             calls["weight_order"].append(m)
             return honest_order(m)
 
-        def columns(m, order):
+        def heights(m, order):
             calls["certificates"] += 1
-            return honest_columns(m, order)
+            return honest_heights(m, order)
 
         def complement(m, r):
             calls["complement_basis"].append(m)
@@ -501,7 +500,7 @@ class TestVerifyLemmas:
             raise AssertionError("run_profile called")
 
         monkeypatch.setattr(cli, "_weight_order", weight_order)
-        monkeypatch.setattr(cli, "_down_set_columns", columns)
+        monkeypatch.setattr(cli, "_down_set_heights", heights)
         monkeypatch.setattr(cli, "complement_basis", complement)
         monkeypatch.setattr(cli, "run_profile", no_run_profile)
         for m_max in (5, 10):
@@ -526,6 +525,13 @@ class TestVerifyLemmas:
         for m_max in (0, 13):
             with pytest.raises(ValueError, match="m-max must lie in 1..12"):
                 lemma_checks(m_max)
+
+    def test_library_hook_reads_m_max_as_an_integer(self):
+        # 2.5 once ran m <= 2 and passed, and "3" raised TypeError
+        for m_max in (2.5, "3", None):
+            with pytest.raises(ValueError, match="m-max must be an integer"):
+                lemma_checks(m_max)
+        assert lemma_checks(np.int64(2)) == lemma_checks(2)
 
 
 class TestSubcodeOracle:

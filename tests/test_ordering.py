@@ -61,6 +61,16 @@ class TestOrderings:
         with pytest.raises(ValueError, match="one bit"):
             Ordering(3, (0, 1, 3, 2, 6, 4, 7, 5), "gray")  # 4 -> 7 flips two bits
 
+    def test_m_read_as_a_nonnegative_integer(self):
+        # 2.0 once raised TypeError from 1 << m, and -1 "negative shift count"
+        for m in (2.0, "2", None):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                Ordering(m, range(4), "explicit")
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            Ordering(-1, range(4), "explicit")
+        ordering = Ordering(np.int64(2), range(4), "explicit")
+        assert type(ordering.m) is int and ordering == Ordering(2, range(4), "explicit")
+
     def test_non_integer_entries_rejected(self):
         # once truncated (0.5 -> 0, 1.5 -> 1) or parsed ("0" -> 0)
         for perm in ([0.5, 1.5], ["0", "1"], (0, 1.0), np.array([0.0, 1.0])):

@@ -115,11 +115,41 @@ class TestCounts:
             for n in lengths:
                 assert payload_bits(n, RllSpec(d)) == table[n].bit_length() - 1
 
-    def test_count_matches_enumerative_table(self):
-        # the rolling recurrence and the enumerative coders' table agree
-        for d in range(7):
-            table = rll._count_list(300, d)
-            assert [count_constrained(n, RllSpec(d)) for n in range(301)] == table[:301]
+    def test_count_matches_enumerative_table(self, monkeypatch):
+        # whichever path count_constrained picks agrees with the enumerative
+        # coders' table, and so does doubling on its own in the gaps it serves
+        doubled = []
+        honest = rll._count_by_doubling
+
+        def spy(n, d):
+            doubled.append((n, d))
+            return honest(n, d)
+
+        monkeypatch.setattr(rll, "_count_by_doubling", spy)
+        lengths = sorted({*range(301), *range(301, 3001, 53), 3000})
+        for d in (*range(23), *range(24, 41)):  # 23 is left to test_count_leaves_count_table
+            table = rll._count_list(3000, d)
+            for n in lengths:
+                assert count_constrained(n, RllSpec(d)) == table[n]
+                if d <= 16:
+                    assert honest(n, d) == table[n]
+        at_1 = [n for n, d in doubled if d == 1]
+        assert 0 < len(at_1) < len(lengths)  # both paths ran at d = 1
+        for d in (1, 3):
+            assert count_constrained(16384, RllSpec(d)) == rll._count_list(16384, d)[16384]
+        assert doubled[-2:] == [(16384, 1), (16384, 3)]
+
+    def test_doubling_only_where_it_pays(self, monkeypatch):
+        # the benchmark plans' payloads at d = 1 double; short counts and
+        # wide gaps stay on the recurrence, which is faster there
+        doubled = []
+        monkeypatch.setattr(rll, "_count_by_doubling", lambda n, d: doubled.append(n) or 0)
+        for n, d in ((22, 1), (2510, 16), (9908, 1000), (50000, 24)):
+            assert count_constrained(n, RllSpec(d)) > 0
+        assert doubled == []
+        for n in (638, 2510):
+            count_constrained(n, RllSpec(1))
+        assert doubled == [638, 2510]
 
     def test_count_leaves_count_table(self):
         d = 23  # a gap no other test counts at

@@ -11,7 +11,7 @@ from rmrll.rm import (
     RmCode,
     _and_products,
     _dimension,
-    _down_set_columns,
+    _down_set_heights,
     _point_weights,
     _variable_patterns,
     complement_basis,
@@ -253,21 +253,22 @@ class TestInformationSet:
                         full = eval_monomial(m, [m - b for b in range(m) if a >> b & 1]).value
                         assert row == sum((full >> p & 1) << c for c, p in enumerate(order.tolist()))
 
-    def test_down_set_columns_match_pointwise_oracle(self):
-        # column b, bit p: x_a(b) for a = order[p], in the weight order and
-        # in a shuffled one
+    def test_down_set_heights_match_pointwise_oracle(self):
+        # height of column b: 1 + the last p with x_a(b) = 1 for a = order[p],
+        # in the weight order and in a shuffled one
         rng = np.random.default_rng(20)
         for m in range(1, 8):
             n = 1 << m
             for order in (information_points(m, m), tuple(rng.permutation(n).tolist())):
-                cols = _down_set_columns(m, order)
-                assert len(cols) == n
-                for b, col in enumerate(cols):
-                    want = [
-                        eval_monomial_pointwise(m, [m - v for v in range(m) if a >> v & 1], b)
-                        for a in order
+                heights = _down_set_heights(m, order)
+                assert heights.shape == (n,)
+                for b in range(n):
+                    ones = [
+                        p
+                        for p, a in enumerate(order)
+                        if eval_monomial_pointwise(m, [m - v for v in range(m) if a >> v & 1], b)
                     ]
-                    assert [col >> p & 1 for p in range(n)] == want
+                    assert heights[b] == 1 + ones[-1]
 
     def test_parameter_validation(self):
         # the messages of RmCode's own checks
